@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
 Each ``test_bench_*`` module regenerates one evaluation artefact of the
-paper (see DESIGN.md's experiment index).  Benches both *time* the harness
+paper (see README.md's measuring sections).  Benches both *time* the harness
 unit with pytest-benchmark and *assert* the paper's shape criteria
 (linearity, orderings, overhead bounds, slope ratios), printing the
 regenerated table so ``pytest benchmarks/ --benchmark-only -s`` reproduces

@@ -15,7 +15,10 @@ Shape criteria:
 * throughput never *degrades* materially as shards are added;
 * replay equivalence: a sharded log scans back exactly what a single log
   fed the same puts scans back (asserted structurally here, exhaustively
-  in tests/test_store_sharding.py).
+  in tests/test_store_sharding.py);
+* the sharded ``scan()`` replay merge is **bounded-memory**: it holds at
+  most one pending record per shard rather than materializing all shards
+  (the instrumented peak-outstanding check below).
 """
 
 from __future__ import annotations
@@ -77,3 +80,51 @@ def test_bench_sharded_scan_matches_single_log(benchmark, tmp_path):
     assert got_single == pairs
     single.close()
     sharded.close()
+
+
+def test_bench_sharded_scan_bounded_memory(benchmark, tmp_path, monkeypatch):
+    """The k-way merge never materializes the shards it is merging.
+
+    Instrumented peak-memory check: wrap every per-shard ``KVLog.scan``
+    stream with a counter of records pulled from shards but not yet
+    yielded by the merge.  A materializing merge holds every record at
+    its peak; the streaming merge must never hold more than one pending
+    record per shard (plus the one being delivered).
+    """
+    shards, records = 4, 4000
+    outstanding = {"now": 0, "max": 0}
+    real_scan = KVLog.scan
+
+    def counting_scan(self):
+        for pair in real_scan(self):
+            outstanding["now"] += 1
+            outstanding["max"] = max(outstanding["max"], outstanding["now"])
+            yield pair
+
+    with ShardedKVLog(tmp_path / "db", shards=shards, sync=False) as log:
+        log.put_many(
+            [(b"key-%06d" % i, b"v" * 64) for i in range(records)]
+        )
+
+        def drain():
+            outstanding["now"] = 0
+            outstanding["max"] = 0
+            seen = 0
+            monkeypatch.setattr(KVLog, "scan", counting_scan)
+            try:
+                for _key, _value in log.scan():
+                    outstanding["now"] -= 1
+                    seen += 1
+            finally:
+                monkeypatch.undo()
+            return seen
+
+        seen = benchmark.pedantic(drain, rounds=3, iterations=1)
+        assert seen == records
+        benchmark.extra_info["peak_outstanding"] = outstanding["max"]
+        benchmark.extra_info["records"] = records
+        # One pending record per shard plus the record in flight; a
+        # materializing merge would hold all 4000.
+        assert outstanding["max"] <= shards + 1, (
+            f"merge held {outstanding['max']} records — not bounded memory"
+        )

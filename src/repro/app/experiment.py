@@ -80,12 +80,6 @@ class ExperimentConfig:
     store_transport: str = "inprocess"
     #: KVLog shard count (>1 selects the sharded-log layout).
     store_shards: int = 1
-    #: depth of the decode→commit ingest pipeline (see
-    #: :mod:`repro.store.pipeline`): >1 lets the store decode batch k+1's
-    #: XML while batch k fsyncs, and lets the recorder's flush encode batch
-    #: k+1 while batch k is in its store round trip; 1 keeps the blocking
-    #: paths.
-    store_pipeline_depth: int = 1
     #: attach a background compaction scheduler to the persistent backends
     #: (see :mod:`repro.store.maintenance`); stopped by :meth:`Experiment.close`.
     store_auto_compact: bool = False
@@ -180,12 +174,6 @@ class Experiment:
                 )
             if self.config.store_path is None:
                 raise ValueError("store_members > 1 requires config.store_path")
-            if self.config.store_pipeline_depth != 1:
-                raise ValueError(
-                    "store_members > 1 is incompatible with "
-                    "store_pipeline_depth > 1 (the federated adapter has "
-                    "no pipelined ingest)"
-                )
             if self.config.store_fault_rules:
                 raise ValueError(
                     "store_fault_rules targets the single store worker; "
@@ -214,9 +202,7 @@ class Experiment:
             self.backend: Optional[ProvenanceStoreInterface] = _make_backend(
                 self.config
             )
-            self.preserv = PReServActor(
-                self.backend, pipeline_depth=self.config.store_pipeline_depth
-            )
+            self.preserv = PReServActor(self.backend)
             self.store_worker = None
         elif self.config.store_transport == "process":
             # The store runs in its own process; the bus sees a proxy under
@@ -250,14 +236,19 @@ class Experiment:
                 ),
                 shards=self.config.store_shards,
                 auto_compact=self.config.store_auto_compact,
-                pipeline_depth=self.config.store_pipeline_depth,
                 fault_rules=tuple(self.config.store_fault_rules),
             )
             self.store_worker = WorkerHandle(
                 "preserv", worker_config, multiprocessing.get_context("spawn")
             )
-            self.store_worker.spawn()
-            self.store_worker.wait_healthy()
+            try:
+                self.store_worker.spawn()
+                self.store_worker.wait_healthy()
+            except BaseException:
+                # A worker that missed its health check may still be
+                # running; neither it nor its socket dir may outlive us.
+                self._stop_store_worker()
+                raise
             self.preserv = RemoteEndpoint(
                 self.store_worker.client,
                 "preserv",
@@ -311,7 +302,6 @@ class Experiment:
             self.bus,
             mode=self.config.recording,
             journal=journal,
-            flush_pipeline_depth=self.config.store_pipeline_depth,
         )
         self.interceptor: Optional[ProvenanceInterceptor] = None
         self.workflow = CompressibilityWorkflow(
@@ -482,8 +472,11 @@ class Experiment:
         if self.backend is not None:
             self.backend.close()
         if self.store_worker is not None:
-            import shutil
-
-            self.store_worker.stop()
-            shutil.rmtree(self._worker_socket_dir, ignore_errors=True)
+            self._stop_store_worker()
         self.recorder.journal.close()
+
+    def _stop_store_worker(self) -> None:
+        import shutil
+
+        self.store_worker.stop()
+        shutil.rmtree(self._worker_socket_dir, ignore_errors=True)

@@ -97,63 +97,37 @@ class ProvenanceRecordClient:
         self,
         records: Iterable[PrepRecord],
         batch_size: int = 64,
-        pipeline_depth: int = 1,
     ) -> int:
         """Ship a record stream in batch messages; returns the count acked.
 
-        Chunks lazily, so a generated stream never materializes beyond
-        ``pipeline_depth`` batches.  With ``pipeline_depth > 1`` the wire
-        encoding of batch k+1 (building its XML body on worker threads)
-        overlaps batch k's store round trip via a
-        :class:`~repro.store.pipeline.PipelinedIngest` whose commit stage
-        is the bus call — batches are sent strictly in stream order, and
-        a rejected batch stops the stream: nothing after it is sent.
+        Chunks lazily, so a generated stream never materializes beyond one
+        batch.  Batches are sent strictly in stream order, and a rejected
+        batch stops the stream: nothing after it is sent.
 
         Raises ``RuntimeError`` if the store rejects any batch.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         stream = iter(records)
-        if pipeline_depth == 1:
-            total = 0
-            while True:
-                chunk = list(itertools.islice(stream, batch_size))
-                if not chunk:
-                    return total
-                total += self._post_checked(self._encode_batch(chunk))
-        from repro.store.pipeline import PipelinedIngest
-
-        with PipelinedIngest(
-            commit=self._post_checked,
-            decode=self._encode_batch,
-            depth=pipeline_depth,
-            name="record-client",
-        ) as engine:
-            while True:
-                chunk = list(itertools.islice(stream, batch_size))
-                if not chunk:
-                    break
-                engine.submit(chunk)
-            engine.flush()
-            return engine.stats.records_committed
+        total = 0
+        while True:
+            chunk = list(itertools.islice(stream, batch_size))
+            if not chunk:
+                return total
+            total += self._post_checked(self._encode_batch(chunk))
 
     def record_many(
         self,
         assertions: Iterable[Assertion],
         batch_size: int = 64,
-        pipeline_depth: int = 1,
     ) -> int:
         """Record a stream of assertions in batch messages; returns acked.
 
-        Raises ``RuntimeError`` if the store rejects any batch.  See
-        :meth:`send_record_stream` for the pipelined-send contract.
+        Raises ``RuntimeError`` if the store rejects any batch.
         """
         return self.send_record_stream(
             (PrepRecord(assertion=a) for a in assertions),
             batch_size=batch_size,
-            pipeline_depth=pipeline_depth,
         )
 
 

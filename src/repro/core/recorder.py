@@ -111,12 +111,9 @@ class ProvenanceRecorder:
         mode: RecordingMode = RecordingMode.ASYNCHRONOUS,
         journal: Optional[Journal] = None,
         flush_batch_size: int = 64,
-        flush_pipeline_depth: int = 1,
     ):
         if flush_batch_size < 1:
             raise ValueError("flush_batch_size must be >= 1")
-        if flush_pipeline_depth < 1:
-            raise ValueError("flush_pipeline_depth must be >= 1")
         self.bus = bus
         self.store_endpoint = store_endpoint
         self.client_endpoint = client_endpoint
@@ -127,10 +124,6 @@ class ProvenanceRecorder:
         # Not `journal or Journal()`: an empty Journal is falsy (__len__).
         self.journal = journal if journal is not None else Journal()
         self.flush_batch_size = flush_batch_size
-        #: ship flush batches through a decode→commit pipeline of this
-        #: depth (>1 overlaps batch k+1's wire encoding with batch k's
-        #: store round trip; see :mod:`repro.store.pipeline`).
-        self.flush_pipeline_depth = flush_pipeline_depth
         self._local_ids = itertools.count(1)
         self.submitted = 0
         self.acked = 0
@@ -218,16 +211,12 @@ class ProvenanceRecorder:
 
         The queue drains in ``flush_batch_size`` batches — each batch is one
         ``prep-record-batch`` message and one backend group commit, not one
-        message per assertion.  With ``flush_pipeline_depth > 1``, batch
-        k+1's wire encoding overlaps batch k's store round trip (batches
-        still ship in journal order; a rejection stops the stream).  A
-        rejected batch raises ``RuntimeError``.
+        message per assertion.  Batches ship in journal order; a rejected
+        batch stops the stream and raises ``RuntimeError``.
         """
         records = self.journal.drain()
         total = self._client.send_record_stream(
-            records,
-            batch_size=self.flush_batch_size,
-            pipeline_depth=self.flush_pipeline_depth,
+            records, batch_size=self.flush_batch_size
         )
         self.acked += total
         return total

@@ -12,7 +12,6 @@ Subcommands::
     repro-figures bulk         # A5 ablation: put vs put_many group commit
     repro-figures shards       # A7: sharded KVLog concurrent-ingest sweep
     repro-figures compaction   # A8: background compaction vs stop-the-world
-    repro-figures pipeline     # A9: pipelined decode→commit ingest sweep
     repro-figures fleet        # A10: in-process bus vs process-fleet ingest
     repro-figures reopen       # A11: reopen cost vs history, ± checkpoints
     repro-figures rebalance    # A12: live fleet growth under load
@@ -52,7 +51,6 @@ from repro.figures.fanout import (
     write_fanout_json,
 )
 from repro.figures.fleet import fleet_sweep_table, run_fleet_sweep
-from repro.figures.pipeline import pipeline_table, run_pipeline_sweep
 from repro.figures.rebalance import (
     rebalance_table,
     run_rebalance_drill,
@@ -158,22 +156,6 @@ def cmd_compaction(args: argparse.Namespace) -> str:
     return "\n\n".join(blocks)
 
 
-def cmd_pipeline(args: argparse.Namespace) -> str:
-    with tempfile.TemporaryDirectory(prefix="repro-pipeline-") as tmp:
-        return pipeline_table(
-            run_pipeline_sweep(
-                Path(tmp),
-                shard_counts=tuple(args.shards),
-                depths=tuple(args.depths),
-                records=args.records,
-                batch_size=args.batch_size,
-                payload_bytes=args.payload_bytes,
-                repeats=args.repeats,
-                flush_latency_s=args.flush_latency_ms / 1000.0,
-            )
-        )
-
-
 def cmd_fleet(args: argparse.Namespace) -> str:
     with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
         return fleet_sweep_table(
@@ -185,7 +167,6 @@ def cmd_fleet(args: argparse.Namespace) -> str:
                 records_per_batch=args.records_per_batch,
                 payload_bytes=args.payload_bytes,
                 commit_barrier_ms=args.commit_barrier_ms,
-                pipeline_depth=args.pipeline_depth,
             )
         )
 
@@ -316,25 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compaction)
 
     p = sub.add_parser(
-        "pipeline",
-        help="A9: pipelined decode→commit ingest — depth × shards grid",
-    )
-    p.add_argument("--shards", type=int, nargs="*", default=[1, 4])
-    p.add_argument("--depths", type=int, nargs="*", default=[1, 2, 4, 8])
-    p.add_argument("--records", type=int, default=1024)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--payload-bytes", type=int, default=16384)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--flush-latency-ms",
-        type=float,
-        default=0.0,
-        help="modeled device write-barrier per group commit "
-        "(0 = raw host device; ~10 models the paper-era disk)",
-    )
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser(
         "fleet",
         help="A10: out-of-process store fleet — bus vs process workers",
     )
@@ -343,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batches", type=int, default=12)
     p.add_argument("--records-per-batch", type=int, default=8)
     p.add_argument("--payload-bytes", type=int, default=256)
-    p.add_argument("--pipeline-depth", type=int, default=1)
     p.add_argument(
         "--commit-barrier-ms",
         type=float,
@@ -484,17 +445,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 (
                     _section("A7: sharded KVLog ingest sweep"),
                     shard_sweep_table(run_shard_sweep(Path(tmp))),
-                )
-            )
-        with tempfile.TemporaryDirectory(prefix="repro-pipeline-") as tmp:
-            blocks.append(
-                (
-                    _section("A9: pipelined decode→commit ingest"),
-                    pipeline_table(
-                        run_pipeline_sweep(
-                            Path(tmp), depths=(1, 4, 8), records=512, repeats=2
-                        )
-                    ),
                 )
             )
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:

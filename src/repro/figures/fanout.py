@@ -36,16 +36,8 @@ from repro.core.passertion import (
     InteractionPAssertion,
     ViewKind,
 )
-from repro.figures.stats import format_table
+from repro.figures.stats import format_table, percentile
 from repro.soa.xmldoc import XmlElement
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def _make_passertion(counter: int, prefix: str = "fanout") -> InteractionPAssertion:
@@ -268,10 +260,10 @@ def run_hedge_drill(
             delay_ms=delay_s * 1e3,
             hedge_after_ms=hedge_after_s * 1e3,
             reads=len(hedged_ms),
-            unhedged_p50_ms=_percentile(unhedged_ms, 0.50),
-            unhedged_p99_ms=_percentile(unhedged_ms, 0.99),
-            hedged_p50_ms=_percentile(hedged_ms, 0.50),
-            hedged_p99_ms=_percentile(hedged_ms, 0.99),
+            unhedged_p50_ms=percentile(unhedged_ms, 0.50),
+            unhedged_p99_ms=percentile(unhedged_ms, 0.99),
+            hedged_p50_ms=percentile(hedged_ms, 0.50),
+            hedged_p99_ms=percentile(hedged_ms, 0.99),
             hedges_fired=stats.hedges_fired,
             hedge_wins=stats.hedge_wins,
         )

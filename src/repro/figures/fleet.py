@@ -15,17 +15,16 @@ deployment buys: N concurrent recording sessions ship the same
 Both sides run the identical store stack (actor → translator → plug-in →
 ``KVLogBackend``) on the identical documents; only the deployment differs.
 
-``commit_barrier_ms`` models the paper-era device exactly as the pipeline
-sweep's ``flush_latency_s`` does: each group commit additionally waits out
-a fixed write barrier (2005 commodity disks cost milliseconds per barrier
-where this host's NVMe returns in ~0.2 ms and measures noise).  The
-barrier is attached *symmetrically* — the baseline actor's backend and
-every fleet worker's backend wait the same amount per commit — so the
-reported speedup isolates the architecture: one process serializes its
-sessions' commits behind one store, W workers overlap them.  On a
-multi-core host the fleet additionally overlaps XML decode (real CPU work
-in W interpreters); with the barrier at 0 on such a host, that CPU
-overlap is what remains of the speedup.
+``commit_barrier_ms`` models the paper-era device: each group commit
+additionally waits out a fixed write barrier (2005 commodity disks cost
+milliseconds per barrier where this host's NVMe returns in ~0.2 ms and
+measures noise).  The barrier is attached *symmetrically* — the baseline
+actor's backend and every fleet worker's backend wait the same amount
+per commit — so the reported speedup isolates the architecture: one
+process serializes its sessions' commits behind one store, W workers
+overlap them.  On a multi-core host the fleet additionally overlaps XML
+decode (real CPU work in W interpreters); with the barrier at 0 on such
+a host, that CPU overlap is what remains of the speedup.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ def run_fleet_sweep(
     payload_bytes: int = 256,
     commit_barrier_ms: float = 10.0,
     sync: bool = True,
-    pipeline_depth: int = 1,
     start_method: str = "spawn",
 ) -> List[FleetSweepPoint]:
     """One in-process baseline row + one process-fleet row per worker count."""
@@ -144,7 +142,7 @@ def run_fleet_sweep(
 
     backend = KVLogBackend(tmp_dir / "baseline", sync=sync, shards=1)
     attach_commit_barrier(backend, barrier_s)
-    actor = PReServActor(backend, pipeline_depth=pipeline_depth)
+    actor = PReServActor(backend)
     try:
         start = time.perf_counter()
         # Round-robin across sessions — the arrival order an in-process
@@ -181,7 +179,6 @@ def run_fleet_sweep(
             members=w,
             shards=1,
             sync=sync,
-            pipeline_depth=pipeline_depth,
             commit_barrier_s=barrier_s,
             start_method=start_method,
         )

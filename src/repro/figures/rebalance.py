@@ -36,7 +36,7 @@ from repro.core.passertion import (
     InteractionPAssertion,
     ViewKind,
 )
-from repro.figures.stats import format_table
+from repro.figures.stats import format_table, percentile
 from repro.soa.xmldoc import XmlElement
 
 
@@ -73,14 +73,6 @@ class RebalanceReport:
     @property
     def read_error_rate(self) -> float:
         return self.read_failures / self.reads if self.reads else 0.0
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def run_rebalance_drill(
@@ -232,8 +224,8 @@ def run_rebalance_drill(
         tail_rounds=report.tail_rounds,
         epoch=epoch,
         migration_s=migration["elapsed_s"],
-        query_p50_ms=_percentile(latencies_ms, 0.50),
-        query_p99_ms=_percentile(latencies_ms, 0.99),
+        query_p50_ms=percentile(latencies_ms, 0.50),
+        query_p99_ms=percentile(latencies_ms, 0.99),
     )
 
 

@@ -63,6 +63,15 @@ def relative_overhead(baseline: Sequence[float], measured: Sequence[float]) -> f
     return float(np.mean(overheads))
 
 
+def percentile(samples: Sequence[float], fraction: float) -> float:
+    """The nearest-rank ``fraction`` quantile of ``samples`` (0.0 if empty)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    index = min(len(ordered) - 1, int(fraction * len(ordered)))
+    return ordered[index]
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render an aligned text table (the harnesses' output format)."""
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]

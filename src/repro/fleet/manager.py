@@ -9,8 +9,8 @@ own Unix-domain socket.
 Lifecycle contract:
 
 * **startup** — all children are spawned first, then each is health-checked
-  with ``ping`` retries until it answers or its process exits (the error
-  then names the worker and its exit code);
+  with a ``ping`` probe every 10 ms until it answers or its process exits
+  (the error then names the worker and its exit code);
 * **faults** — a dead or unreachable worker surfaces to callers as
   ``Fault("worker-unavailable", ...)`` from the transport layer; the
   manager adds :meth:`kill` (SIGKILL, for crash drills) and
@@ -47,6 +47,8 @@ from repro.soa.xmldoc import XmlElement
 
 #: default ceiling on waiting for a spawned worker's first ``pong``.
 HEALTH_TIMEOUT_S = 60.0
+#: pause between readiness probes while a spawned worker starts up.
+HEALTH_POLL_S = 0.01
 
 
 class FleetError(RuntimeError):
@@ -96,7 +98,12 @@ class WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
     def wait_healthy(self, timeout_s: float = HEALTH_TIMEOUT_S) -> None:
-        """Block until the worker answers ``ping`` (or fail with its fate)."""
+        """Block until the worker answers ``ping`` (or fail with its fate).
+
+        Each poll is one ``ping`` attempt (the client's retry budget and
+        backoff would only delay seeing a worker that is already serving);
+        polls repeat every :data:`HEALTH_POLL_S` until the deadline.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
             if not self.alive:
@@ -110,6 +117,7 @@ class WorkerHandle:
                     target=self.config.endpoint,
                     operation="ping",
                     payload=XmlElement("ping"),
+                    idempotent=False,
                 )
                 return
             except Fault as fault:
@@ -120,7 +128,7 @@ class WorkerHandle:
                         f"worker {self.name!r} did not become healthy "
                         f"within {timeout_s:.0f}s"
                     ) from fault
-                time.sleep(0.05)
+                time.sleep(HEALTH_POLL_S)
 
     def request_shutdown(self) -> None:
         """Graceful stop over the socket (the ack precedes the exit)."""
@@ -179,7 +187,6 @@ class ProcessFleet:
         shards: int = 1,
         sync: bool = True,
         auto_compact: bool = False,
-        pipeline_depth: int = 1,
         commit_barrier_s: float = 0.0,
         backend: str = "kvlog",
         start_method: str = "spawn",
@@ -222,7 +229,6 @@ class ProcessFleet:
         self._shards = shards
         self._sync = sync
         self._auto_compact = auto_compact
-        self._pipeline_depth = pipeline_depth
         self._commit_barrier_s = commit_barrier_s
         self._backend = backend
         self._health_timeout_s = health_timeout_s
@@ -254,7 +260,6 @@ class ProcessFleet:
             shards=self._shards,
             sync=self._sync,
             auto_compact=self._auto_compact,
-            pipeline_depth=self._pipeline_depth,
             commit_barrier_s=self._commit_barrier_s,
             # Scripted crash-sim faults for this worker; the rules
             # travel in the picklable config and the child rebuilds

@@ -53,7 +53,6 @@ class WorkerConfig:
     auto_compact: bool = False
     #: arm the backend's index-checkpoint policy (None = manual only).
     checkpoint_bytes: Optional[int] = None
-    pipeline_depth: int = 1
     #: modelled per-group-commit device stall (0 = real device speed).
     commit_barrier_s: float = 0.0
     #: scripted faults for this worker (crash-sim scenarios); a tuple of
@@ -65,9 +64,8 @@ class WorkerConfig:
 def attach_commit_barrier(backend: object, barrier_s: float) -> None:
     """Add a fixed post-commit stall to ``backend``'s write path.
 
-    Instance-level wrappers over ``put``/``put_many`` (the interface's
-    ``pipelined_ingest`` commits through ``self.put_many``, so the wrapped
-    path covers pipelined ingest too).  Return values are preserved.
+    Instance-level wrappers over ``put``/``put_many``.  Return values are
+    preserved.
     """
     if barrier_s <= 0:
         return
@@ -275,7 +273,6 @@ def run_worker(config: WorkerConfig) -> None:
     actor = FleetWorkerActor(
         backend,
         endpoint=config.endpoint,
-        pipeline_depth=config.pipeline_depth,
         shutdown_event=shutdown,
     )
     server = EnvelopeServer(actor, config.address, fault_plan=fault_plan)

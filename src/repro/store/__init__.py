@@ -13,10 +13,8 @@ The store side of the architecture (paper Section 5, Figure 3):
   that keeps the persistent backends' disk footprint bounded under
   sustained load (shard-aware KVLog compaction + file-system segment
   folding) without stalling ingest,
-* :mod:`repro.store.pipeline` — the staged decode→commit ingest engine
-  (bounded queue, in-order commits, first-error propagation) that overlaps
-  XML decode with the backends' group-commit fsyncs,
-* :mod:`repro.store.plugins` — Store and Query plug-ins,
+* :mod:`repro.store.plugins` — Store and Query plug-ins (each record
+  submission is decoded and stored as one backend group commit),
 * :mod:`repro.store.querycache` — generation-validated query plan and
   result caching for the read path,
 * :mod:`repro.store.service` — the message translator and the PReServ actor.
@@ -51,7 +49,6 @@ from repro.store.maintenance import (
     CompactionStats,
 )
 from repro.store.sharding import ShardedKVLog
-from repro.store.pipeline import PipelinedIngest, PipelineStats
 from repro.store.plugins import PlugIn, QueryPlugIn, StorePlugIn
 from repro.store.querycache import CacheStats, GenerationVector, QueryCache, QueryPlan
 from repro.store.service import (
@@ -220,8 +217,6 @@ __all__ = [
     "MessageTranslator",
     "PAPER_RECORD_ROUND_TRIP_S",
     "PReServActor",
-    "PipelineStats",
-    "PipelinedIngest",
     "PlugIn",
     "ProvenanceStoreInterface",
     "QueryPlugIn",

@@ -1307,12 +1307,6 @@ class FederatedStoreAdapter:
         self.router.put_many(batch)
         return len(batch)
 
-    def pipelined_ingest(self, *args: object, **kwargs: object):
-        raise NotImplementedError(
-            "pipelined ingest does not span a fleet; pipeline inside the "
-            "member stores (pipeline_depth on the fleet factory) instead"
-        )
-
     # -- read path ------------------------------------------------------------
     def interaction_keys(self) -> List[InteractionKey]:
         return self.federated.interaction_keys()
@@ -1395,7 +1389,6 @@ def sharded_store_fleet(
     sync: bool = True,
     auto_compact: bool = False,
     transport: str = "inprocess",
-    pipeline_depth: int = 1,
     commit_barrier_s: float = 0.0,
     replicas: int = 1,
     fault_rules: Optional[Dict[str, tuple]] = None,
@@ -1424,10 +1417,9 @@ def sharded_store_fleet(
         Envelope socket transport; the router holds
         :class:`~repro.fleet.remote.RemoteStore` proxies and
         ``router.close()`` tears the whole fleet down (terminate/join +
-        socket cleanup).  ``pipeline_depth`` configures each worker's
-        ingest pipeline, and ``commit_barrier_s`` models a per-group-commit
+        socket cleanup).  ``commit_barrier_s`` models a per-group-commit
         device stall (see :func:`repro.fleet.worker.attach_commit_barrier`)
-        — both apply to the in-process transport too, for like-for-like
+        — it applies to the in-process transport too, for like-for-like
         baselines.
 
     ``auto_compact=True`` attaches background compaction: in-process, **one**
@@ -1502,7 +1494,6 @@ def sharded_store_fleet(
             shards=shards,
             sync=sync,
             auto_compact=auto_compact,
-            pipeline_depth=pipeline_depth,
             commit_barrier_s=commit_barrier_s,
             fault_rules=fault_rules,
         )

@@ -15,8 +15,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
-    Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -427,31 +425,6 @@ class ProvenanceStoreInterface(ABC):
         if accepted:
             self._persist_many(accepted)
         return len(accepted)
-
-    def pipelined_ingest(
-        self,
-        depth: int = 4,
-        decode: Optional[Callable[[Any], Any]] = None,
-        workers: Optional[int] = None,
-    ) -> "Any":
-        """A :class:`~repro.store.pipeline.PipelinedIngest` over this store.
-
-        The engine's commit stage is this backend's :meth:`put_many` —
-        driven from the engine's single committer thread, satisfying the
-        backends' serial-write-path contract — while ``decode`` (if any)
-        runs on worker threads one batch ahead.  Use as a context manager
-        so no write is in flight once the block exits::
-
-            with backend.pipelined_ingest(depth=4) as engine:
-                for batch in batches:
-                    engine.submit(batch)
-                engine.flush()
-        """
-        from repro.store.pipeline import PipelinedIngest
-
-        return PipelinedIngest(
-            commit=self.put_many, decode=decode, depth=depth, workers=workers
-        )
 
     @abstractmethod
     def _persist(self, assertion: Assertion) -> None:

@@ -40,32 +40,9 @@ class PlugIn(ABC):
 
 
 class StorePlugIn(PlugIn):
-    """Records p-assertions (singly or batched) into the backend.
-
-    With ``pipeline_depth > 1``, a large ``prep-record-batch`` submission
-    runs through a per-message :class:`~repro.store.pipeline.PipelinedIngest`:
-    the message is sliced into ``pipeline_chunk``-record chunks whose XML
-    decode runs on worker threads one chunk ahead of the backend's group
-    commits, overlapping the parse CPU with the commit fsyncs.  Commit
-    order is submission order and a chunk failure drops every later chunk,
-    so the store's contents after any failure are a prefix of the message
-    — the same contract as the blocking path.  The ack is returned only
-    after the whole message is durable.
-    """
+    """Records p-assertions (singly or batched) into the backend."""
 
     handles = ("prep-record", "prep-record-batch")
-
-    def __init__(self, pipeline_depth: int = 1, pipeline_chunk: int = 64):
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        if pipeline_chunk < 1:
-            raise ValueError("pipeline_chunk must be >= 1")
-        self.pipeline_depth = pipeline_depth
-        self.pipeline_chunk = pipeline_chunk
-
-    @staticmethod
-    def _decode_chunk(elements: List[XmlElement]) -> List:
-        return [PrepRecord.from_xml(el).assertion for el in elements]
 
     def handle(
         self, body: XmlElement, backend: ProvenanceStoreInterface
@@ -75,29 +52,14 @@ class StorePlugIn(PlugIn):
         else:
             elements = body.find_all("prep-record")
         try:
-            if (
-                self.pipeline_depth > 1
-                and len(elements) > self.pipeline_chunk
-            ):
-                stored = self._handle_pipelined(elements, backend)
-            else:
-                # Bulk ingest: the whole submission becomes one backend
-                # group commit (put_many persists singles via that path).
-                stored = backend.put_many(self._decode_chunk(elements))
+            # Bulk ingest: the whole submission becomes one backend
+            # group commit (put_many persists singles via that path).
+            stored = backend.put_many(
+                [PrepRecord.from_xml(el).assertion for el in elements]
+            )
         except DuplicateAssertionError as exc:
             raise Fault("duplicate-assertion", str(exc)) from exc
         return PrepAck(status="ok", count=stored).to_xml()
-
-    def _handle_pipelined(
-        self, elements: List[XmlElement], backend: ProvenanceStoreInterface
-    ) -> int:
-        with backend.pipelined_ingest(
-            depth=self.pipeline_depth, decode=self._decode_chunk
-        ) as engine:
-            for start in range(0, len(elements), self.pipeline_chunk):
-                engine.submit(elements[start : start + self.pipeline_chunk])
-            engine.flush()
-            return engine.stats.records_committed
 
 
 class QueryPlugIn(PlugIn):

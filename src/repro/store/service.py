@@ -8,7 +8,6 @@ configured backend.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Optional
 
 from repro.soa.actor import Actor
@@ -72,33 +71,18 @@ class PReServActor(Actor):
         endpoint: str = "preserv",
         translator: Optional[MessageTranslator] = None,
         enable_query_cache: bool = True,
-        pipeline_depth: int = 1,
     ):
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         super().__init__(endpoint, description="PReServ provenance store")
         self.backend = backend
-        #: ingest pipelining (see :mod:`repro.store.pipeline`): depth of the
-        #: decode→commit pipeline used by the record port's StorePlugIn and
-        #: by :meth:`bulk_ingest`; 1 keeps the blocking path.
-        self.pipeline_depth = pipeline_depth
         if translator is None:
             query_plugin = QueryPlugIn(enable_cache=enable_query_cache)
-            translator = MessageTranslator(
-                [StorePlugIn(pipeline_depth=pipeline_depth), query_plugin]
-            )
+            translator = MessageTranslator([StorePlugIn(), query_plugin])
             self.query_cache: Optional[QueryCache] = query_plugin.cache
         else:
             if not enable_query_cache:
                 raise ValueError(
                     "enable_query_cache only applies to the default translator; "
                     "configure caching on the supplied translator's QueryPlugIn"
-                )
-            if pipeline_depth != 1:
-                raise ValueError(
-                    "pipeline_depth only applies to the default translator; "
-                    "configure pipelining on the supplied translator's "
-                    "StorePlugIn"
                 )
             self.query_cache = next(
                 (
@@ -177,40 +161,15 @@ class PReServActor(Actor):
             )
         return self.translator.dispatch(payload, self.backend)
 
-    def bulk_ingest(
-        self,
-        assertions: Iterable[Assertion],
-        pipeline_depth: Optional[int] = None,
-        batch_size: int = 256,
-    ) -> int:
+    def bulk_ingest(self, assertions: Iterable[Assertion]) -> int:
         """Local bulk load straight into the backend's group-commit path.
 
         Skips the wire codec (no envelopes, no XML round trip) but keeps
         full store semantics — duplicate detection, indexing, durability —
         via :meth:`ProvenanceStoreInterface.put_many`.  This is the
         admin-side ingest used to seed large stores.
-
-        With a pipeline depth > 1 (the argument, falling back to the
-        actor's configured :attr:`pipeline_depth`), the stream is sliced
-        into ``batch_size`` group commits driven through a
-        :class:`~repro.store.pipeline.PipelinedIngest`: the producer
-        materializes batch k+1 from the (possibly generated) stream while
-        batch k fsyncs, and memory is bounded by ``depth`` batches instead
-        of the whole stream.  Commit order is stream order, so the store
-        replays identically to the blocking path.
         """
-        depth = self.pipeline_depth if pipeline_depth is None else pipeline_depth
-        if depth <= 1:
-            return self.backend.put_many(assertions)
-        stream = iter(assertions)
-        with self.backend.pipelined_ingest(depth=depth) as engine:
-            while True:
-                batch = list(itertools.islice(stream, batch_size))
-                if not batch:
-                    break
-                engine.submit(batch)
-            engine.flush()
-            return engine.stats.records_committed
+        return self.backend.put_many(assertions)
 
     def op_query(self, payload: XmlElement) -> XmlElement:
         if payload.name != "prep-query":

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.figures.stats import format_table, linear_fit, relative_overhead
+from repro.figures.stats import (
+    format_table,
+    linear_fit,
+    percentile,
+    relative_overhead,
+)
 
 
 class TestLinearFit:
@@ -66,6 +71,17 @@ class TestRelativeOverhead:
             relative_overhead([], [])
         with pytest.raises(ValueError):
             relative_overhead([0], [1])
+
+
+class TestPercentile:
+    def test_nearest_rank_of_unsorted_samples(self):
+        samples = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert percentile(samples, 0.0) == 1.0
+        assert percentile(samples, 0.5) == 3.0
+        assert percentile(samples, 0.99) == 5.0
+
+    def test_empty_samples_read_zero(self):
+        assert percentile([], 0.5) == 0.0
 
 
 class TestFormatTable:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -37,6 +39,10 @@ def live_workers():
         p for p in multiprocessing.active_children()
         if p.name.startswith(WORKER_PREFIX)
     ]
+
+
+def experiment_socket_dirs():
+    return set(Path(tempfile.gettempdir()).glob("preserv-exp-*"))
 
 
 class TestFleetLifecycle:
@@ -291,3 +297,81 @@ class TestExperimentTransport:
         finally:
             exp.close()
         assert not live_workers()
+
+    def test_worker_that_dies_on_startup_leaves_nothing_behind(
+        self, experiment_factory, tmp_path
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file, so the store path cannot exist")
+        before = experiment_socket_dirs()
+        with pytest.raises(FleetError, match="exited during startup"):
+            experiment_factory(
+                store_transport="process",
+                store_backend="kvlog",
+                store_path=blocker / "store",
+            )
+        assert experiment_socket_dirs() <= before
+        assert not live_workers()
+
+    def test_failed_health_check_stops_the_live_worker(
+        self, experiment_factory, monkeypatch
+    ):
+        from repro.fleet.manager import WorkerHandle
+
+        real_wait_healthy = WorkerHandle.wait_healthy
+
+        def serving_then_fail(self, *args, **kwargs):
+            # The worker is up and serving when the check gives up.
+            real_wait_healthy(self, *args, **kwargs)
+            raise FleetError(f"worker {self.name!r} forced health failure")
+
+        monkeypatch.setattr(WorkerHandle, "wait_healthy", serving_then_fail)
+        before = experiment_socket_dirs()
+        with pytest.raises(FleetError, match="forced health failure"):
+            experiment_factory(store_transport="process")
+        assert experiment_socket_dirs() <= before
+        assert not live_workers()
+
+
+class TestHealthProbe:
+    def test_each_poll_is_one_ping_attempt(self, monkeypatch):
+        from repro.fleet.manager import WorkerHandle
+        from repro.fleet.worker import WorkerConfig
+
+        # Nothing listens here, so every probe fails to connect.
+        address = (
+            "unix",
+            f"{tempfile.gettempdir()}/preserv-absent-{os.getpid()}.sock",
+        )
+        handle = WorkerHandle(
+            "w", WorkerConfig(endpoint="w", address=address), ctx=None
+        )
+
+        class StartingProcess:
+            """Alive for five polls, then exits before ever serving."""
+
+            exitcode = 3
+            checks = 0
+
+            def is_alive(self):
+                self.checks += 1
+                return self.checks <= 5
+
+        handle.process = StartingProcess()
+        calls = []
+        real_call = handle.client.call
+
+        def counting_call(*args, **kwargs):
+            calls.append(kwargs)
+            return real_call(*args, **kwargs)
+
+        monkeypatch.setattr(handle.client, "call", counting_call)
+        try:
+            with pytest.raises(FleetError, match="exited during startup"):
+                handle.wait_healthy(timeout_s=60.0)
+        finally:
+            handle.client.close()
+        assert len(calls) == 5  # one call per poll
+        assert all(kw["operation"] == "ping" for kw in calls)
+        assert all(kw["idempotent"] is False for kw in calls)
+        assert handle.client.retries == 0  # no retry budget inside a poll

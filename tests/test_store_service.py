@@ -11,11 +11,12 @@ from repro.core.passertion import (
     InteractionPAssertion,
     ViewKind,
 )
+from repro.core.client import ProvenanceRecordClient
 from repro.core.prep import PrepAck, PrepQuery, PrepRecord, PrepResult
 from repro.soa.bus import MessageBus
 from repro.soa.envelope import Fault
 from repro.soa.xmldoc import XmlElement
-from repro.store.backends import MemoryBackend
+from repro.store.backends import KVLogBackend, MemoryBackend
 from repro.store.plugins import QueryPlugIn, StorePlugIn
 from repro.store.service import MessageTranslator, PReServActor
 
@@ -92,6 +93,48 @@ class TestRecordPort:
         bus, _, _ = deployment
         with pytest.raises(Fault, match="bad-request"):
             bus.call("client", "preserv", "record", XmlElement("prep-query"))
+
+    def test_duplicate_in_batch_faults_and_keeps_prefix(self, tmp_path):
+        backend = KVLogBackend(tmp_path / "kv.db", sync=False)
+        bus = MessageBus()
+        bus.register(PReServActor(backend))
+        good = [ipa(i) for i in range(12)]
+        batch = XmlElement("prep-record-batch")
+        for a in good + [good[0]]:  # duplicate store key at the end
+            batch.add(PrepRecord(a).to_xml())
+        with pytest.raises(Fault, match="duplicate-assertion"):
+            bus.call("client", "preserv", "record", batch)
+        # Everything before the duplicate is stored, durably — never a hole.
+        expected = [a.store_key for a in good]
+        assert [a.store_key for a in backend.all_assertions()] == expected
+        backend.close()
+        reopened = KVLogBackend(tmp_path / "kv.db")
+        assert [a.store_key for a in reopened.all_assertions()] == expected
+        reopened.close()
+
+
+class TestRecordClientStream:
+    def test_record_many_sends_one_message_per_batch(self, deployment):
+        bus, backend, _ = deployment
+        client = ProvenanceRecordClient(bus)
+        total = client.record_many((ipa(i) for i in range(25)), batch_size=4)
+        assert total == 25
+        assert client.acked == 25
+        assert client.calls == 7  # ceil(25 / 4) batch messages
+        assert backend.counts().interaction_passertions == 25
+
+    def test_rejected_batch_stops_the_stream(self, deployment):
+        bus, backend, _ = deployment
+        client = ProvenanceRecordClient(bus)
+        assertions = [ipa(i) for i in range(12)]
+        poisoned = assertions[:6] + [assertions[0]] + assertions[6:]
+        with pytest.raises(Fault, match="duplicate-assertion"):
+            client.record_many(poisoned, batch_size=2)
+        # Batches 0-2 were acked and batch 3 (the duplicate) was rejected;
+        # nothing after it was sent.
+        assert client.calls == 4
+        assert client.acked == 6
+        assert backend.counts().interaction_passertions == 6
 
 
 class TestQueryPort:
