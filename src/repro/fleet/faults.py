@@ -172,31 +172,23 @@ def apply_rule(rule: FaultRule, point: str) -> None:
 def attach_fault_points(backend: object, plan: FaultPlan) -> None:
     """Instrument ``backend``'s write path with commit-window fault points.
 
-    Wraps ``put``/``put_many`` so every group commit passes ``commit``
-    (before anything persists — a ``die`` here loses the whole batch,
-    which is correct because it was never acked) and ``committed`` (after
-    persistence, before the ack can be built — a ``die`` here leaves the
-    batch durable though the writer never heard back; recovery must keep
-    it).  Composes with
+    Wraps ``put_many``, the one write path (``put`` is a batch of one),
+    so every group commit passes ``commit`` (before anything persists — a
+    ``die`` here loses the whole batch, which is correct because it was
+    never acked) and ``committed`` (after persistence, before the ack can
+    be built — a ``die`` here leaves the batch durable though the writer
+    never heard back; recovery must keep it).  Composes with
     :func:`~repro.fleet.worker.attach_commit_barrier` — whichever wraps
     last runs first.
     """
-    real_put = backend.put
     real_put_many = backend.put_many
 
-    def put(assertion):  # noqa: ANN001 - mirrors the interface signature
-        plan.fire("commit")
-        result = real_put(assertion)
-        plan.fire("committed")
-        return result
-
-    def put_many(assertions):  # noqa: ANN001
+    def put_many(assertions):  # noqa: ANN001 - mirrors the interface signature
         plan.fire("commit")
         result = real_put_many(assertions)
         plan.fire("committed")
         return result
 
-    backend.put = put  # type: ignore[method-assign]
     backend.put_many = put_many  # type: ignore[method-assign]
 
 

@@ -73,11 +73,11 @@ class RemoteStore:
 
     # -- write path ----------------------------------------------------------
     def put(self, assertion: Assertion) -> None:
-        ack = self._records.record(assertion)
-        if not ack.ok:  # pragma: no cover - rejections raise as Faults
-            raise RuntimeError(f"worker rejected record: {ack.detail}")
+        self.put_many([assertion])
 
     def put_many(self, assertions: Iterable[Assertion]) -> int:
+        """One ``prep-record`` message per batch of up to 64 (a batch of
+        one goes out in the single-record form)."""
         return self._records.record_many(list(assertions))
 
     # -- read path -----------------------------------------------------------

@@ -64,25 +64,19 @@ class WorkerConfig:
 def attach_commit_barrier(backend: object, barrier_s: float) -> None:
     """Add a fixed post-commit stall to ``backend``'s write path.
 
-    Instance-level wrappers over ``put``/``put_many``.  Return values are
-    preserved.
+    An instance-level wrapper over ``put_many``, the one write path
+    (``put`` is a batch of one, so it stalls once too).  Return values
+    are preserved.
     """
     if barrier_s <= 0:
         return
-    real_put = backend.put
     real_put_many = backend.put_many
 
-    def put(assertion):  # noqa: ANN001 - mirrors the interface signature
-        result = real_put(assertion)
-        time.sleep(barrier_s)
-        return result
-
-    def put_many(assertions):  # noqa: ANN001
+    def put_many(assertions):  # noqa: ANN001 - mirrors the interface signature
         result = real_put_many(assertions)
         time.sleep(barrier_s)
         return result
 
-    backend.put = put  # type: ignore[method-assign]
     backend.put_many = put_many  # type: ignore[method-assign]
 
 

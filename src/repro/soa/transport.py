@@ -215,10 +215,10 @@ class EnvelopeServer:
 
     One daemon thread accepts connections; each connection gets its own
     request thread reading frames and replying in order.  Dispatch into the
-    actor is serialized by default (``serialize_dispatch=True``): the
-    backends' write paths are single-threaded by contract, and the
-    in-process bus drives them serially too — cross-request parallelism is
-    the :mod:`repro.fleet` *process* axis, not threads inside one worker.
+    actor is serialized: the backends' write paths are single-threaded by
+    contract, and the in-process bus drives them serially too —
+    cross-request parallelism is the :mod:`repro.fleet` *process* axis, not
+    threads inside one worker.
 
     :meth:`stop` drains: it stops accepting, lets every in-flight request
     finish and its reply flush, then closes the connections.
@@ -228,7 +228,6 @@ class EnvelopeServer:
         self,
         actor: Actor,
         address: Address,
-        serialize_dispatch: bool = True,
         poll_interval_s: float = POLL_INTERVAL_S,
         fault_plan: Optional[object] = None,
     ):
@@ -239,7 +238,7 @@ class EnvelopeServer:
         #: with ``check(point)``) scripting deterministic failures at the
         #: ``server-recv``/``server-send`` fault points; None in production.
         self.fault_plan = fault_plan
-        self._dispatch_lock = threading.Lock() if serialize_dispatch else None
+        self._dispatch_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._connections: Dict[threading.Thread, socket.socket] = {}
@@ -409,10 +408,7 @@ class EnvelopeServer:
             ).to_xml()
         else:
             try:
-                if self._dispatch_lock is not None:
-                    with self._dispatch_lock:
-                        body = self.actor.handle(operation, request.body)
-                else:
+                with self._dispatch_lock:
                     body = self.actor.handle(operation, request.body)
                 if not isinstance(body, XmlElement):
                     raise Fault(

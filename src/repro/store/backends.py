@@ -93,11 +93,8 @@ def _assertion_from_text(text: str) -> Assertion:
 class MemoryBackend(ProvenanceStoreInterface):
     """Volatile backend: the index *is* the store."""
 
-    def _persist(self, assertion: Assertion) -> None:
-        pass  # nothing beyond the in-memory index
-
     def _persist_many(self, assertions: Sequence[Assertion]) -> None:
-        pass
+        pass  # nothing beyond the in-memory index
 
 
 class _CheckpointedStore(ProvenanceStoreInterface):
@@ -126,9 +123,9 @@ class _CheckpointedStore(ProvenanceStoreInterface):
 
     Write-path serialization: the backends' writes were always driven
     serially (the actor/bus contract), but checkpoints run on the
-    maintenance scheduler's thread, so :meth:`put`/:meth:`put_many` take
-    a state lock that :meth:`checkpoint` also takes while capturing its
-    payload — ingest blocks only for the capture (a pickle of the index),
+    maintenance scheduler's thread, so :meth:`put_many` (and with it
+    :meth:`put`, a batch of one) takes a state lock that
+    :meth:`checkpoint` also takes while capturing its payload — ingest blocks only for the capture (a pickle of the index),
     never for compression or the fsync'd write.
     """
 
@@ -160,10 +157,6 @@ class _CheckpointedStore(ProvenanceStoreInterface):
             sweep_snapshot_debris(self._ckpt_dir, sync=sync)
 
     # -- write path (serialized against checkpoint capture) ------------------
-    def put(self, assertion: Assertion) -> None:
-        with self._state_lock:
-            super().put(assertion)
-
     def put_many(self, assertions: Iterable[Assertion]) -> int:
         with self._state_lock:
             return super().put_many(assertions)
@@ -302,8 +295,8 @@ class FileSystemBackend(_CheckpointedStore):
 
     Layout: ``root/NNNNNNNN.xml`` where the stem is the sequence number of
     the file's first assertion.  A file holds either one bare assertion
-    document (single :meth:`put`) or a ``<segment>`` document wrapping up to
-    ``segment_size`` assertions (one :meth:`put_many` group commit).  The
+    document (a chunk of one: a single :meth:`put`) or a ``<segment>``
+    document wrapping up to ``segment_size`` assertions (one group commit).  The
     monotonically increasing start sequence keeps replay order identical to
     insertion order when the index is rebuilt on open.
 
@@ -508,7 +501,7 @@ class FileSystemBackend(_CheckpointedStore):
         if self._sync:
             fsync_dir(self.root)
 
-    def _persist(self, assertion: Assertion) -> None:
+    def _persist_single(self, assertion: Assertion) -> None:
         seq = self._seq
         name = f"{seq:08d}.xml"
         self._seq += 1
@@ -523,7 +516,7 @@ class FileSystemBackend(_CheckpointedStore):
         for start in range(0, len(assertions), self.segment_size):
             chunk = assertions[start : start + self.segment_size]
             if len(chunk) == 1:
-                self._persist(chunk[0])
+                self._persist_single(chunk[0])
                 continue
             segment = XmlElement("segment", attrs={"count": str(len(chunk))})
             for assertion in chunk:
@@ -890,18 +883,6 @@ class KVLogBackend(_CheckpointedStore):
         else:
             for i in range(self.shards):
                 self._shard_gens[i] += 1
-
-    def _persist(self, assertion: Assertion) -> None:
-        keyed: List[Tuple[bytes, Optional[int]]] = []
-        seq = self._seq
-        try:
-            keyed.append(self._key_for(assertion))
-            self._log.put(
-                keyed[0][0], _assertion_to_text(assertion).encode("utf-8")
-            )
-            self._append_entry(seq, assertion)
-        finally:
-            self._bump_for(keyed, 1)
 
     def _persist_many(self, assertions: Sequence[Assertion]) -> None:
         # Group commit: every assertion of the batch lands in the log with a

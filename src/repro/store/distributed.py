@@ -159,15 +159,15 @@ class StoreRouter:
     With ``replicas=R`` (R > 1) every interaction's records live on R
     members: the owner plus its R-1 ring successors (successor placement
     over the sorted member list).  Writes group-commit to the full replica
-    set and acknowledge only when **all R** copies persist; a member-down
-    partial commit journals the missing member's share for
-    :meth:`repair` and raises :class:`PartialCommitError` — recorded and
-    repaired, never silently acked.  Replicated commits skip duplicate
-    rejections, so a client retry of an in-doubt batch converges (the
-    replicas already holding the data accept it idempotently) instead of
-    failing forever.  Reads (see :class:`FederatedQueryClient`) fail over
-    to any live replica, which is what makes one worker's death invisible
-    to the query side.
+    set; :meth:`put_many` (of which :meth:`put` is a batch of one) states
+    when they acknowledge — all R copies, or R members for a broadcast —
+    and how a down member is journaled for :meth:`repair` instead of
+    silently acked.  Replicated commits skip duplicate rejections, so a
+    client retry of an in-doubt batch converges (the replicas already
+    holding the data accept it idempotently) instead of failing forever.
+    Reads (see :class:`FederatedQueryClient`) fail over to any live
+    replica, which is what makes one worker's death invisible to the
+    query side.
     """
 
     def __init__(
@@ -525,19 +525,11 @@ class StoreRouter:
         side and must converge exactly like a replicated retry.
         """
         store = self._stores[name]
-        if self.replicas == 1 and not self.placement.in_transition:
-            if len(share) == 1:
-                store.put(share[0])
-            else:
-                store.put_many(share)
-            return
+        converge = self.replicas > 1 or self.placement.in_transition
         try:
-            if len(share) == 1:
-                store.put(share[0])
-            else:
-                store.put_many(share)
+            store.put_many(share)
         except BaseException as exc:
-            if not _is_duplicate(exc):
+            if not (converge and _is_duplicate(exc)):
                 raise
             for assertion in share:
                 try:
@@ -547,121 +539,44 @@ class StoreRouter:
                         raise
 
     def put(self, assertion: Assertion) -> str:
-        """Route one assertion; returns the name of the store that took it
-        (``"*"`` for a broadcast group assertion).
-
-        Group assertions are broadcast (membership supports navigation from
-        any store); p-assertions go to their full replica set (the owner at
-        R=1), and every *other* store gains a cross-link to the owner.
-
-        A member-down failure journals the missing member's copy for
-        :meth:`repair`; at R>1 the call then raises
-        :class:`PartialCommitError` (a broadcast still acks while at least
-        ``replicas`` live members hold it), at R=1 the transport fault
-        propagates unchanged.
-
-        All live shares commit **concurrently** (the fan-out pool), then
-        the outcomes are aggregated in the sequential loop's target order,
-        so the journal, degraded marks and error fields are identical to
-        the one-at-a-time path.  On an error the sequential loop would
-        have raised out of, shares the loop would never have attempted
-        may already have landed — unobservable through the ack semantics:
-        the write is still not acknowledged, and a retry converges via
-        duplicate-skip exactly as for any in-doubt batch.
-        """
-        if isinstance(assertion, GroupAssertion):
-            targets = list(self._names)
-            route_key = assertion.member
-            label = "*"
-        else:
-            targets = self.write_set(assertion.interaction_key)
-            route_key = assertion.interaction_key
-            label = targets[0]
-        committed: List[str] = []
-        causes: Dict[str, BaseException] = {}
-        with self._lock:
-            degraded = set(self._degraded) if self.replicas > 1 else set()
-        for name in targets:
-            if name in degraded:
-                self._journal(name, [assertion])
-                causes[name] = Fault(
-                    "worker-unavailable",
-                    f"member {name!r} is marked degraded",
-                    detail={"worker": name},
-                )
-        results = self.fanout.scatter(
-            [name for name in targets if name not in degraded],
-            lambda name: self._commit_share(name, [assertion]),
-        )
-        for result in results:
-            name = result.target
-            if result.error is None:
-                committed.append(name)
-                continue
-            exc = result.error
-            if _is_unavailable(exc):
-                self.mark_degraded(name)
-                self._journal(name, [assertion])
-                causes[name] = exc
-                if self.replicas == 1:
-                    raise exc  # unreplicated: fail fast, as a plain store would
-                continue
-            raise exc
-        if causes and label != "*":
-            raise PartialCommitError(
-                f"write to {sorted(causes)} did not persist (committed on "
-                f"{committed or 'no members'}); journaled for repair, "
-                f"not acknowledged",
-                committed=committed,
-                missing=sorted(causes),
-                causes=causes,
-            )
-        if causes and len(committed) < self.replicas:
-            raise PartialCommitError(
-                f"broadcast persisted on only {len(committed)} member(s), "
-                f"below the replication floor {self.replicas}; journaled "
-                f"for repair, not acknowledged",
-                committed=committed,
-                missing=sorted(causes),
-                causes=causes,
-            )
-        with self._lock:
-            self.records_routed += 1
-        self._note_link(route_key, self.owner_of(route_key))
-        return label
+        """Route one assertion — a batch of one (see :meth:`put_many`);
+        returns its placement."""
+        return self.put_many([assertion])[0]
 
     def put_many(self, assertions: Iterable[Assertion]) -> List[str]:
         """Route a batch: one group commit per member store.
 
-        Assertions are partitioned by member (group assertions broadcast;
-        p-assertions go to every member of their replica set), then each
+        The one write path (:meth:`put` is a batch of one).  Assertions
+        are partitioned by member (group assertions broadcast;
+        p-assertions go to every member of their write set), then each
         store takes its share in a single
         :meth:`~ProvenanceStoreInterface.put_many` call — per-store
         relative order is preserved.  Returns each assertion's placement
         (the replica set's owner, or ``"*"`` for broadcasts).
 
-        If a member store rejects part of its batch the exception
-        propagates; cross-links and ``records_routed`` are then recorded
-        exactly for the assertions whose *full* target set durably stored
-        them (including the accepted prefix of a failing store's batch,
-        just as a put loop would have linked each stored assertion before
-        failing) — the navigation tables never point at a store that did
-        not take the data, and never miss data a store did take.
+        An assertion is **placed** once every target durably holds it —
+        or, for a broadcast group assertion at R>1, once at least
+        ``replicas`` members do (the replication floor).  Placed
+        assertions count in ``records_routed`` and gain cross-links, so
+        the navigation tables never point at a store that did not take
+        the data and never miss data a store did take; the call returns
+        (acknowledges the batch) only when every assertion is placed.  If
+        a member store rejects part of its batch the exception
+        propagates, and the accounting still covers what did land (a
+        failed member is probed for the accepted prefix of its share).
 
-        Member-down handling at R>1: the dead member's share is journaled
-        for :meth:`repair`, the *other* members' shares still commit (so a
-        retry of the batch converges via duplicate-skip), and the call
-        raises :class:`PartialCommitError` — the batch is never partially
-        acked.  At R=1 a transport fault aborts and propagates unchanged.
+        Member-down handling: the dead member is marked degraded and its
+        share journaled for :meth:`repair`.  At R>1 the *other* members'
+        shares still commit (so a retry of the batch converges via
+        duplicate-skip), and a batch left with an unplaced assertion
+        raises :class:`PartialCommitError` — it is never partially
+        acked.  At R=1 the transport fault propagates unchanged, as a
+        plain store's would.
 
         Member shares group-commit **concurrently** on the fan-out pool;
-        outcomes are aggregated in sorted member order, reproducing the
-        sequential loop's journal, degraded marks and
-        :class:`PartialCommitError` fields exactly.  Where the sequential
-        loop aborted mid-iteration, later members' shares may now have
-        committed before the same error surfaces — the batch is equally
-        unacked/in-doubt either way, and the ``finally`` accounting below
-        already probes failed members for what actually landed.
+        outcomes are aggregated in sorted member order, so the journal,
+        degraded marks and :class:`PartialCommitError` fields do not
+        depend on which share finished first.
         """
         per_store: Dict[str, List[Assertion]] = {name: [] for name in self._names}
         plan: List[Tuple[Assertion, str, Tuple[str, ...]]] = []
@@ -679,6 +594,7 @@ class StoreRouter:
         committed: set = set()
         failed: set = set()
         causes: Dict[str, BaseException] = {}
+        all_placed = True
         try:
             with self._lock:
                 degraded = set(self._degraded) if self.replicas > 1 else set()
@@ -686,7 +602,6 @@ class StoreRouter:
             for name in self._names:
                 share = per_store[name]
                 if not share:
-                    committed.add(name)
                     continue
                 if name in degraded:
                     failed.add(name)
@@ -713,38 +628,28 @@ class StoreRouter:
                     continue
                 failed.add(name)
                 exc = result.error
-                if self.replicas > 1 and _is_unavailable(exc):
+                if _is_unavailable(exc):
                     self.mark_degraded(name)
                     self._journal(name, per_store[name])
-                    causes[name] = exc
-                    continue
+                    if self.replicas > 1:
+                        causes[name] = exc
+                        continue
                 if fatal is None:  # first in sorted member order
                     fatal = exc
             if fatal is not None:
                 raise fatal
         finally:
             for assertion, owner, targets in plan:
-                if owner == "*":
-                    placed = all(
-                        name in committed or self._holds(name, assertion)
-                        for name in self._names
-                    )
-                else:
-                    placed = all(
-                        name in committed
-                        or (name in failed and self._holds(name, assertion))
-                        for name in targets
-                    )
-                if placed:
-                    with self._lock:
-                        self.records_routed += 1
-                    route_key = (
-                        assertion.member
-                        if owner == "*"
-                        else assertion.interaction_key
-                    )
-                    self._note_link(route_key, self.owner_of(route_key))
-        if causes:
+                if not self._placed(assertion, targets, committed, failed):
+                    all_placed = False
+                    continue
+                with self._lock:
+                    self.records_routed += 1
+                route_key = (
+                    assertion.member if owner == "*" else assertion.interaction_key
+                )
+                self._note_link(route_key, self.owner_of(route_key))
+        if not all_placed:
             raise PartialCommitError(
                 f"batch share(s) for {sorted(causes)} did not persist "
                 f"(committed on {sorted(committed)}); journaled for "
@@ -754,6 +659,33 @@ class StoreRouter:
                 causes=causes,
             )
         return [owner for _, owner, _ in plan]
+
+    def _placed(
+        self,
+        assertion: Assertion,
+        targets: Tuple[str, ...],
+        committed: set,
+        failed: set,
+    ) -> bool:
+        """Whether enough of ``targets`` durably hold ``assertion`` to
+        place it: all of them, or ``replicas`` for a broadcast at R>1.
+
+        Members that committed their share count without a round trip;
+        only failed members are probed (see :meth:`_holds`).
+        """
+        floor = len(targets)
+        if isinstance(assertion, GroupAssertion) and self.replicas > 1:
+            floor = self.replicas
+        spare = len(targets) - floor
+        for name in targets:
+            if name in committed or (
+                name in failed and self._holds(name, assertion)
+            ):
+                continue
+            spare -= 1
+            if spare < 0:
+                return False
+        return True
 
     def _holds(self, store_name: str, assertion: Assertion) -> bool:
         """Whether ``store_name`` durably holds ``assertion`` (post-failure).

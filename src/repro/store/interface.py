@@ -389,22 +389,21 @@ class ProvenanceStoreInterface(ABC):
 
     # -- write path ---------------------------------------------------------
     def put(self, assertion: Assertion) -> None:
-        """Record one assertion: index it, then persist it."""
-        self._index.add(assertion)
-        self._persist(assertion)
+        """Record one assertion: a batch of one."""
+        self.put_many([assertion])
 
     def put_many(self, assertions: Iterable[Assertion]) -> int:
         """Record a batch of assertions; returns how many were stored.
 
-        Semantically identical to calling :meth:`put` once per assertion —
-        duplicate detection and group idempotence behave the same, and an
-        *indexing* failure partway through still persists the assertions
-        indexed before it (exactly what a ``put`` loop would have durably
-        written) before the exception propagates.  Backends override
-        :meth:`_persist_many` to turn the batch into a single group commit;
-        if the group commit itself fails, which subset became durable is
-        backend-specific (a sharded log commits per shard, so the durable
-        subset need not be a prefix) — treat the whole batch as in doubt.
+        The one write path (:meth:`put` is a batch of one).  Each assertion
+        is indexed in order — duplicate detection and group idempotence
+        apply per assertion — and an *indexing* failure partway through
+        still persists the assertions indexed before it before the
+        exception propagates.  Backends implement :meth:`_persist_many` to
+        turn the batch into a single group commit; if the group commit
+        itself fails, which subset became durable is backend-specific (a
+        sharded log commits per shard, so the durable subset need not be a
+        prefix) — treat the whole batch as in doubt.
         """
         accepted: List[Assertion] = []
         try:
@@ -427,13 +426,8 @@ class ProvenanceStoreInterface(ABC):
         return len(accepted)
 
     @abstractmethod
-    def _persist(self, assertion: Assertion) -> None:
-        """Backend-specific durability for one assertion."""
-
     def _persist_many(self, assertions: Sequence[Assertion]) -> None:
-        """Backend-specific durability for a batch (default: one by one)."""
-        for assertion in assertions:
-            self._persist(assertion)
+        """Backend-specific durability for a non-empty batch."""
 
     def close(self) -> None:
         """Release backend resources; stops attached background maintenance.

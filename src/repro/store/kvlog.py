@@ -273,29 +273,13 @@ class KVLog:
         return _HEADER.pack(zlib.crc32(payload), len(key), len(value), 0) + payload
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
-        if not isinstance(key, (bytes, bytearray)) or not key:
-            raise ValueError("key must be non-empty bytes")
-        key = bytes(key)
-        value = bytes(value)
-        record = self._encode_record(key, value)
-        with self._lock:
-            self._file.seek(0, os.SEEK_END)
-            offset = self._file.tell()
-            self._file.write(record)
-            self._commit()
-            old = self._index.get(key)
-            if old is not None:
-                self._dead_bytes += _HEADER.size + len(key) + old[1]
-            else:
-                self._sorted_keys = None
-            self._index[key] = (offset + _HEADER.size + len(key), len(value))
+        self.put_many([(key, value)])
 
     def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
         """Group commit: append a whole batch with one write + one flush.
 
-        Equivalent to a sequence of :meth:`put` calls, but the records are
-        concatenated into a single buffer first, so the batch costs one
+        The one write path (:meth:`put` is a batch of one).  The records
+        are concatenated into a single buffer first, so the batch costs one
         syscall-and-flush instead of one per record.  Each record carries
         its own CRC, so a crash mid-batch leaves a torn tail that
         :meth:`_rebuild_index` truncates cleanly on the next open — the

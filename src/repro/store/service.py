@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional
 from repro.soa.actor import Actor
 from repro.soa.envelope import Fault
 from repro.soa.xmldoc import XmlElement
-from repro.store.interface import Assertion, ProvenanceStoreInterface
+from repro.store.interface import ProvenanceStoreInterface
 from repro.store.plugins import PlugIn, QueryPlugIn, StorePlugIn
 from repro.store.querycache import QueryCache
 
@@ -160,16 +160,6 @@ class PReServActor(Actor):
                 "bad-request", f"record port got <{payload.name}>"
             )
         return self.translator.dispatch(payload, self.backend)
-
-    def bulk_ingest(self, assertions: Iterable[Assertion]) -> int:
-        """Local bulk load straight into the backend's group-commit path.
-
-        Skips the wire codec (no envelopes, no XML round trip) but keeps
-        full store semantics — duplicate detection, indexing, durability —
-        via :meth:`ProvenanceStoreInterface.put_many`.  This is the
-        admin-side ingest used to seed large stores.
-        """
-        return self.backend.put_many(assertions)
 
     def op_query(self, payload: XmlElement) -> XmlElement:
         if payload.name != "prep-query":

@@ -206,27 +206,12 @@ class ShardedKVLog:
         return bytes(key), bytes(value)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
-        key, value = self._validated(key, value)
-        shard = self.shard_of(key)
-        if self._next_seq is None:
-            # Resolve the lazy sequence watermark *before* taking the shard
-            # lock: resolution scans every shard under its lock, so doing it
-            # while holding one would invert the seq-lock/shard-lock order.
-            self._reserve_seqs(0)
-        with self._locks[shard]:
-            # Reserve and commit under one shard lock: two racing puts of
-            # the same key commit in sequence order, so the index's live
-            # value is always the one scan() calls newest.  (Reservation
-            # here only touches the seq counter — the resolution pass that
-            # takes shard locks cannot run once the watermark is set.)
-            with self._seq_lock:
-                seq = self._next_seq
-                self._next_seq += 1
-            self._shards[shard].put(key, _SEQ.pack(seq) + value)
+        self.put_many([(key, value)])
 
     def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
         """Group commit: one KVLog batch commit per shard touched.
+
+        The one write path (:meth:`put` is a batch of one).
 
         Sequence numbers are assigned in input order before any shard is
         written, so a single-writer workload replays in exactly the order

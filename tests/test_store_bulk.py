@@ -121,6 +121,36 @@ class TestPutManyEquivalence:
         one.close()
         many.close()
 
+    def test_batches_of_one_leave_put_loop_bytes(self, backend_name, tmp_path):
+        """A ``put`` loop and a ``put_many([x])`` loop write identical files."""
+        layouts = {
+            "memory": [],  # nothing on disk
+            "filesystem": [lambda root: FileSystemBackend(root / "fs")],
+            "kvlog": [
+                lambda root: KVLogBackend(root / "kv.db"),
+                lambda root: KVLogBackend(root / "kv", shards=4),
+            ],
+        }[backend_name]
+        for layout, open_store in enumerate(layouts):
+            trees = []
+            for mode in ("put", "put_many"):
+                root = tmp_path / f"{mode}-{layout}"
+                store = open_store(root)
+                for a in mixed_batch(6):
+                    if mode == "put":
+                        store.put(a)
+                    else:
+                        store.put_many([a])
+                store.close()
+                trees.append(
+                    {
+                        path.relative_to(root): path.read_bytes()
+                        for path in sorted(root.rglob("*"))
+                        if path.is_file()
+                    }
+                )
+            assert trees[0] and trees[0] == trees[1]
+
     def test_duplicate_mid_batch_matches_put_loop(self, backend_name, tmp_path):
         one = make_backend(backend_name, tmp_path, "one")
         many = make_backend(backend_name, tmp_path, "many")

@@ -92,6 +92,21 @@ def make_replicated(n=4, replicas=2):
     return StoreRouter(stores, replicas=replicas), stores
 
 
+def put_one(router, assertion):
+    return router.put(assertion)
+
+
+def put_batch_of_one(router, assertion):
+    return router.put_many([assertion])[0]
+
+
+#: the router's two entry points for a single write, which must agree.
+WRITE_ONE = [
+    pytest.param(put_one, id="put"),
+    pytest.param(put_batch_of_one, id="put_many"),
+]
+
+
 class TestReplicaPlacement:
     def test_replica_count_validated(self):
         stores = {f"s{i}": MemoryBackend() for i in range(2)}
@@ -209,13 +224,42 @@ class TestReplicatedWrites:
         # also no data written to it).
         assert not stores[rs[0]].interaction_passertions(key(5))
 
-    def test_broadcast_acks_above_replication_floor(self):
+    @pytest.mark.parametrize("write", WRITE_ONE)
+    def test_broadcast_acks_above_replication_floor(self, write):
         """A group assertion acks while >= R live members hold it."""
         router, stores = make_replicated(n=4, replicas=2)
         stores["store-03"].down = True
-        label = router.put(ga(1))  # 3 of 4 committed, floor is 2: acked
+        label = write(router, ga(1))  # 3 of 4 committed, floor is 2: acked
         assert label == "*"
         assert router.pending_repairs() == {"store-03": 1}
+        assert router.records_routed == 1
+        assert "store-03" in router.degraded_members
+
+    @pytest.mark.parametrize("write", WRITE_ONE)
+    def test_broadcast_below_replication_floor_is_not_acked(self, write):
+        router, stores = make_replicated(n=4, replicas=3)
+        for name in ("store-01", "store-02"):
+            stores[name].down = True
+        with pytest.raises(PartialCommitError) as excinfo:
+            write(router, ga(1))  # 2 of 4 committed, floor is 3
+        assert excinfo.value.committed == ["store-00", "store-03"]
+        assert excinfo.value.missing == ["store-01", "store-02"]
+        assert router.records_routed == 0
+        assert router.pending_repairs() == {"store-01": 1, "store-02": 1}
+
+    @pytest.mark.parametrize("write", WRITE_ONE)
+    def test_r1_member_down_journals_and_propagates(self, write):
+        """At R=1 the transport fault propagates unchanged, after the
+        owner's share is journaled and the owner marked degraded."""
+        router, stores = make_replicated(n=3, replicas=1)
+        owner = router.owner_of(key(1))
+        stores[owner].down = True
+        with pytest.raises(Fault) as excinfo:
+            write(router, ipa(1))
+        assert excinfo.value.code == "worker-unavailable"
+        assert router.pending_repairs() == {owner: 1}
+        assert router.degraded_members == [owner]
+        assert router.records_routed == 0
 
     def test_r1_duplicate_still_propagates(self):
         """At R=1 duplicates are a client error, not a retry artifact."""

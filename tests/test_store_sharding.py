@@ -495,10 +495,10 @@ class TestShardedBackend:
             == backend.scope_shard(scope)
         )
 
-        def exploding_put(self, key_, value):
+        def exploding_put_many(self, pairs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(_SL, "put", exploding_put)
+        monkeypatch.setattr(_SL, "put_many", exploding_put_many)
         with pytest.raises(OSError, match="disk full"):
             backend.put(ipa(same))  # indexed, but persist fails
         monkeypatch.undo()
@@ -575,7 +575,7 @@ class TestConfigThreading:
 
         actor = PReServActor.with_store("kvlog", tmp_path / "kv", shards=4)
         assert isinstance(actor.backend, KVLogBackend)
-        actor.bulk_ingest([ipa(1), ipa(2), spa(1)])
+        actor.backend.put_many([ipa(1), ipa(2), spa(1)])
         gens = actor.store_shard_generations()
         assert len(gens) == 4 and sum(gens) > 0
         scope = interaction_scope(key(1))
@@ -588,7 +588,7 @@ class TestConfigThreading:
         from repro.store.service import PReServActor
 
         actor = PReServActor.with_store("memory")
-        actor.bulk_ingest([ipa(1)])
+        actor.backend.put_many([ipa(1)])
         assert actor.store_shard_generations() == (actor.backend.generation,)
         assert actor.store_generation_token() == actor.backend.generation
 
