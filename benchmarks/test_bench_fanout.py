@@ -8,9 +8,9 @@ A13 drills and asserts their shape:
 
 * **parallel replica commits** — an R=2 fleet under the modeled
   per-group-commit barrier writes at least ``COMMIT_BAR``× faster than
-  the sequential parity mode (two barriers overlapped into ~one);
+  the width-1 serial baseline (two barriers overlapped into ~one);
 * **parallel federated merges** — an N=4 ``interaction_keys()`` merge
-  with a modeled per-member read stall beats the sequential merge by at
+  with a modeled per-member read stall beats the width-1 merge by at
   least ``MERGE_BAR``× (four stalls overlapped);
 * **hedged reads** — with one worker under a scripted 120 ms
   ``server-recv`` delay, the hedged read p99 stays bounded far below the
@@ -35,9 +35,9 @@ from repro.figures.fanout import (
     write_fanout_json,
 )
 
-#: R=2 parallel commit vs sequential, on the modeled 10ms barrier.
+#: R=2 parallel commit vs width 1, on the modeled 10ms barrier.
 COMMIT_BAR = 1.5
-#: N=4 parallel merge vs sequential, on the modeled 10ms read stall.
+#: N=4 parallel merge vs width 1, on the modeled 10ms read stall.
 MERGE_BAR = 2.0
 #: hedged read p99 under a 120ms slow worker: must stay far below the
 #: fault (the hedge budget is 20ms; generous headroom for CI noise).
@@ -74,12 +74,12 @@ def test_bench_fanout_commit_and_merge(benchmark, tmp_path, report):
     benchmark.extra_info["merge_speedup_attempts"] = merge_attempts
     assert any(ratio >= COMMIT_BAR for ratio in commit_attempts), (
         f"no attempt reached an R=2 parallel-commit speedup >= "
-        f"{COMMIT_BAR}x over the sequential parity mode across "
+        f"{COMMIT_BAR}x over the width-1 baseline across "
         f"{MAX_ATTEMPTS} attempts (got {commit_attempts})"
     )
     assert any(ratio >= MERGE_BAR for ratio in merge_attempts), (
         f"no attempt reached an N=4 parallel-merge speedup >= "
-        f"{MERGE_BAR}x over the sequential merge across "
+        f"{MERGE_BAR}x over the width-1 merge across "
         f"{MAX_ATTEMPTS} attempts (got {merge_attempts})"
     )
 

@@ -102,12 +102,6 @@ class ExperimentConfig:
     #: byte-identical paper figures) or ``"ring"`` (consistent hashing —
     #: the rebalance-capable rule; see :mod:`repro.store.placement`).
     store_placement: str = "modulo"
-    #: scatter-gather pool size for the fleet router (``store_members >
-    #: 1``): replica commits and federated merges fan out across members
-    #: on up to this many threads (capped at the member count).  ``None``
-    #: selects the default ``min(members, 8)``; ``0`` forces the
-    #: sequential parity mode.
-    store_fanout_workers: Optional[int] = None
     journal_path: Optional[Path] = None
     #: virtual-time latency charged per store call (the paper's ~15 ms
     #: retrieve-and-map unit uses the same service).
@@ -188,7 +182,6 @@ class Experiment:
                 auto_compact=self.config.store_auto_compact,
                 replicas=self.config.store_replicas,
                 placement=self.config.store_placement,
-                fanout_workers=self.config.store_fanout_workers,
             )
             self.backend = FederatedStoreAdapter(self.store_router)
             self.preserv = PReServActor(self.backend)

@@ -27,7 +27,7 @@ from repro.bio.refseq import RefSeqDatabase, sample_of_size
 from repro.bio.shuffle import permutations_of
 from repro.compress.api import get_compressor
 from repro.figures.microbench import pregenerated_record
-from repro.figures.stats import format_table
+from repro.figures.stats import format_table, percentile
 from repro.figures.fig4 import simulate_run
 from repro.store.backends import FileSystemBackend, KVLogBackend, MemoryBackend
 from repro.store.interface import ProvenanceStoreInterface
@@ -166,6 +166,12 @@ def backends_table(points: List[BackendPoint]) -> str:
 # A5: bulk ingest (single put vs put_many group commit)
 # ----------------------------------------------------------------------------
 
+#: timed rounds per backend and path: each path's time is the median of
+#: its rounds, and the rounds alternate put / put_many, so a slow spell on
+#: the host lands on both sides instead of deciding the ratio.
+BULK_ROUNDS = 5
+
+
 @dataclass(frozen=True)
 class BulkIngestPoint:
     backend: str
@@ -190,7 +196,11 @@ class BulkIngestPoint:
 def run_bulk_ingest(
     tmp_dir: Path, records: int = 2000, batch_size: int = 256
 ) -> List[BulkIngestPoint]:
-    """p-assertions/sec of ``put`` vs ``put_many`` for every backend."""
+    """p-assertions/sec of ``put`` vs ``put_many`` for every backend.
+
+    Each path is timed as the median of :data:`BULK_ROUNDS` rounds, each
+    into a fresh store, alternating the two paths.
+    """
     if records < 1:
         raise ValueError("records must be >= 1")
     if batch_size < 1:
@@ -199,27 +209,30 @@ def run_bulk_ingest(
     points: List[BulkIngestPoint] = []
 
     def bench(name: str, make) -> None:
-        single_store: ProvenanceStoreInterface = make("single")
-        start = time.perf_counter()
-        for assertion in assertions:
-            single_store.put(assertion)
-        single_s = time.perf_counter() - start
-        single_store.close()
+        single: List[float] = []
+        batch: List[float] = []
+        for round_ in range(BULK_ROUNDS):
+            single_store: ProvenanceStoreInterface = make(f"single-{round_}")
+            start = time.perf_counter()
+            for assertion in assertions:
+                single_store.put(assertion)
+            single.append(time.perf_counter() - start)
+            single_store.close()
 
-        batch_store: ProvenanceStoreInterface = make("batch")
-        start = time.perf_counter()
-        for begin in range(0, records, batch_size):
-            batch_store.put_many(assertions[begin : begin + batch_size])
-        batch_s = time.perf_counter() - start
-        assert batch_store.counts().interaction_passertions == records
-        batch_store.close()
+            batch_store: ProvenanceStoreInterface = make(f"batch-{round_}")
+            start = time.perf_counter()
+            for begin in range(0, records, batch_size):
+                batch_store.put_many(assertions[begin : begin + batch_size])
+            batch.append(time.perf_counter() - start)
+            assert batch_store.counts().interaction_passertions == records
+            batch_store.close()
         points.append(
             BulkIngestPoint(
                 backend=name,
                 records=records,
                 batch_size=batch_size,
-                single_s=single_s,
-                batch_s=batch_s,
+                single_s=percentile(single, 0.5),
+                batch_s=percentile(batch, 0.5),
             )
         )
 

@@ -1,20 +1,21 @@
 """A13: scatter-gather fan-out — parallel commits, merges, hedged reads.
 
 Three drills against the same fleet code, differing only in the router's
-fan-out configuration:
+fan-out width (1, the serial baseline, against the default) or the read
+client's hedge delay:
 
 * **replica commits** — an R=2 fleet under the modeled per-group-commit
-  device barrier: the sequential router pays R barriers per write, the
+  device barrier: the width-1 router pays R barriers per write, the
   fan-out router overlaps them (``put`` commits all R shares
   concurrently), so parallel write latency approaches 1× the barrier.
 * **federated merges** — an N=4 fleet whose per-member key scans carry a
-  modeled read stall (2005-era store round trip): a sequential
+  modeled read stall (2005-era store round trip): a width-1
   ``interaction_keys()`` merge pays N stalls back to back, the fan-out
   merge overlaps them.
 * **hedged reads** — a process-transport fleet with one worker under a
   scripted :class:`~repro.fleet.faults.FaultRule` delay: without
-  hedging, every read owned by the slow worker inherits its stall; with
-  ``hedge_after_s`` set, the read fires the next replica once the delay
+  hedging, every read owned by the slow worker inherits its stall; a
+  client built with ``hedge_after_s`` fires the next replica once the delay
   budget passes and takes the first success, so the p99 is bounded by
   the hedge delay, not the fault.
 
@@ -129,16 +130,16 @@ def run_commit_sweep(
     puts: int = 12,
     commit_barrier_s: float = 0.010,
 ) -> Tuple[float, float]:
-    """Mean single-``put`` latency (ms): sequential vs fan-out commits.
+    """Mean single-``put`` latency (ms): width-1 vs fan-out commits.
 
     An R-replica fleet under the modeled commit barrier: every put must
-    persist on R members before it acks, so the sequential router pays
+    persist on R members before it acks, so the width-1 router pays
     R barriers back to back and the fan-out router pays ~1.
     """
     from repro.store.distributed import sharded_store_fleet
 
     out = []
-    for mode, workers in (("seq", 0), ("par", None)):
+    for mode, workers in (("seq", 1), ("par", None)):
         router = sharded_store_fleet(
             tmp_dir / f"commit-{mode}",
             members=replicas,
@@ -164,7 +165,8 @@ def run_merge_sweep(
     merges: int = 5,
     read_stall_s: float = 0.010,
 ) -> Tuple[float, float]:
-    """Mean federated ``interaction_keys()`` merge latency (ms), seq vs fan-out.
+    """Mean federated ``interaction_keys()`` merge latency (ms), width 1 vs
+    fan-out.
 
     Each member's key scan carries the modeled read stall; a fresh
     :class:`~repro.store.distributed.FederatedQueryClient` per merge
@@ -173,7 +175,7 @@ def run_merge_sweep(
     from repro.store.distributed import FederatedQueryClient, sharded_store_fleet
 
     out = []
-    for mode, workers in (("seq", 0), ("par", None)):
+    for mode, workers in (("seq", 1), ("par", None)):
         router = sharded_store_fleet(
             tmp_dir / f"merge-{mode}",
             members=members,
@@ -231,13 +233,12 @@ def run_hedge_drill(
                 FaultRule("server-recv", "delay", count=-1, delay_s=delay_s),
             )
         },
-        hedge_after_s=hedge_after_s,
     )
     try:
         batch = [_make_passertion(counter, prefix="hedge") for counter in range(keys)]
         router.put_many(batch)
-        unhedged = FederatedQueryClient(router, hedge_after_s=0)
-        hedged = FederatedQueryClient(router)  # inherits the router's delay
+        unhedged = FederatedQueryClient(router)
+        hedged = FederatedQueryClient(router, hedge_after_s=hedge_after_s)
 
         def measure(client: "FederatedQueryClient") -> List[float]:
             samples: List[float] = []

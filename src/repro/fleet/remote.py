@@ -2,11 +2,12 @@
 
 :class:`RemoteStore` presents the
 :class:`~repro.store.interface.ProvenanceStoreInterface` surface of a
-worker-hosted store by composing the existing typed port clients —
-:class:`~repro.core.client.ProvenanceRecordClient` for the record port,
-:class:`~repro.core.client.ProvenanceQueryClient` for the query port —
-over an :class:`~repro.soa.transport.EnvelopeClient` (which has the same
-``call`` signature as the in-process bus, so those clients run unmodified).
+worker-hosted store over an :class:`~repro.soa.transport.EnvelopeClient`
+(which has the same ``call`` signature as the in-process bus, so the typed
+port clients run unmodified): it *is* a
+:class:`~repro.core.client.ProvenanceQueryClient` for the query port, whose
+read methods are the store interface's, and writes through a
+:class:`~repro.core.client.ProvenanceRecordClient` for the record port.
 
 That makes a :class:`~repro.store.distributed.StoreRouter` and a
 :class:`~repro.store.distributed.FederatedQueryClient` work over a process
@@ -26,23 +27,18 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.client import ProvenanceQueryClient, ProvenanceRecordClient
-from repro.core.passertion import (
-    ActorStatePAssertion,
-    InteractionKey,
-    InteractionPAssertion,
-    ViewKind,
-)
 from repro.soa.transport import EnvelopeClient
 from repro.soa.xmldoc import XmlElement
-from repro.store.interface import Assertion, StoreCounts
+from repro.store.interface import Assertion
 
 
-class RemoteStore:
+class RemoteStore(ProvenanceQueryClient):
     """Store-interface proxy for one socket-served fleet worker.
 
     Duck-typed rather than an ABC subclass: it implements the interface's
     *remote-meaningful* surface (writes, reads, counts, generations,
-    close) and deliberately refuses the local-only parts.
+    close) and deliberately refuses the local-only parts.  The reads
+    (``interaction_keys``, ``counts``, ...) are the query client's own.
     """
 
     def __init__(
@@ -53,16 +49,15 @@ class RemoteStore:
         on_close: Optional[Callable[[], None]] = None,
     ):
         self.name = name or endpoint
-        self.client = client
-        self._records = ProvenanceRecordClient(
+        super().__init__(
             client,  # same call signature as the bus
             store_endpoint=endpoint,
-            client_endpoint=f"{self.name}-writer",
+            client_endpoint=f"{self.name}-reader",
         )
-        self._queries = ProvenanceQueryClient(
+        self._records = ProvenanceRecordClient(
             client,
             store_endpoint=endpoint,
-            client_endpoint=f"{self.name}-reader",
+            client_endpoint=f"{self.name}-writer",
         )
         self._endpoint = endpoint
         self._on_close = on_close
@@ -81,37 +76,6 @@ class RemoteStore:
         return self._records.record_many(list(assertions))
 
     # -- read path -----------------------------------------------------------
-    def interaction_keys(self) -> List[InteractionKey]:
-        return self._queries.interaction_keys()
-
-    def interaction_passertions(
-        self, key: InteractionKey, view: Optional[ViewKind] = None
-    ) -> List[InteractionPAssertion]:
-        return self._queries.interaction_passertions(key, view)
-
-    def actor_state_passertions(
-        self,
-        key: InteractionKey,
-        view: Optional[ViewKind] = None,
-        state_type: Optional[str] = None,
-    ) -> List[ActorStatePAssertion]:
-        return self._queries.actor_state_passertions(key, view, state_type)
-
-    def group_members(self, group_id: str) -> List[InteractionKey]:
-        return self._queries.group_members(group_id)
-
-    def groups_of(self, key: InteractionKey) -> List[str]:
-        return self._queries.groups_of(key)
-
-    def group_ids(self, kind: Optional[str] = None) -> List[str]:
-        return self._queries.group_ids(kind)
-
-    def passertion_counts(self, key: InteractionKey) -> "Tuple[int, int]":
-        return self._queries.passertion_counts(key)
-
-    def counts(self) -> StoreCounts:
-        return self._queries.counts()
-
     def all_assertions(self):
         raise NotImplementedError(
             f"all_assertions() does not cross the wire; run consolidation "
@@ -121,7 +85,7 @@ class RemoteStore:
     # -- cache freshness ------------------------------------------------------
     def _admin(self, op: str, **attrs: str) -> XmlElement:
         payload = XmlElement("admin", {"op": op, **attrs})
-        return self.client.call(
+        return self.bus.call(
             source=f"{self.name}-admin",
             target=self._endpoint,
             operation="admin",
@@ -169,7 +133,7 @@ class RemoteStore:
 
     # -- resync stream ---------------------------------------------------------
     def _replicate(self, payload: XmlElement) -> XmlElement:
-        return self.client.call(
+        return self.bus.call(
             source=f"{self.name}-resync",
             target=self._endpoint,
             operation="replicate",
@@ -217,7 +181,7 @@ class RemoteStore:
 
     def ping(self) -> Dict[str, str]:
         """Liveness probe; returns the worker's pong attributes."""
-        response = self.client.call(
+        response = self.bus.call(
             source=f"{self.name}-admin",
             target=self._endpoint,
             operation="ping",
@@ -238,7 +202,7 @@ class RemoteStore:
             if self._on_close is not None:
                 self._on_close()
         finally:
-            self.client.close()
+            self.bus.close()
 
 
 __all__ = ["RemoteStore"]

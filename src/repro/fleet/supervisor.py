@@ -51,7 +51,8 @@ from repro.fleet.manager import FleetError, ProcessFleet
 from repro.fleet.remote import RemoteStore
 from repro.fleet.worker import _assertion_from_el
 from repro.soa.envelope import Fault
-from repro.store.distributed import StoreRouter, _hash_to_bucket
+from repro.store.distributed import StoreRouter
+from repro.store.placement import PlacementSpec
 
 #: default ceiling on one restart's health wait (a flapping worker exits
 #: during startup, which fails fast; this bounds the pathological case).
@@ -64,8 +65,9 @@ class FleetSupervisor:
     ``router`` is optional but recommended: with it, death and recovery
     drive the router's degraded/suspect bookkeeping and the write-side
     repair journal.  Without it, resync still runs, computing replica
-    sets locally from ``replicas`` (the same successor placement the
-    router uses, so the two agree).
+    sets locally from ``replicas`` under the default (modulo) placement
+    rule, through the same :class:`~repro.store.placement.PlacementSpec`
+    a router built without a placement uses, so the two agree.
     """
 
     def __init__(
@@ -358,11 +360,10 @@ class FleetSupervisor:
         """Does ``key``'s replica set include ``name``?"""
         if self.router is not None:
             return name in self.router.replica_set(key)
-        names = self.fleet.worker_names
-        bucket = _hash_to_bucket(key, len(names))
-        return name in [
-            names[(bucket + i) % len(names)] for i in range(self.replicas)
-        ]
+        spec = PlacementSpec(
+            members=tuple(self.fleet.worker_names), replicas=self.replicas
+        )
+        return name in spec.replica_set(key)
 
     def _resync(self, name: str) -> int:
         """Stream the missed suffix from live peers into ``name``.

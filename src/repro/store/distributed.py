@@ -14,10 +14,12 @@ Three pieces:
   several PReServ instances (hash of the interaction key), so submissions
   can proceed in parallel; group assertions are broadcast so every store
   can answer membership queries for navigation.
-* **cross-links** — when the router places an interaction's assertion, it
-  records a :class:`CrossLink` naming the owning store, and each store keeps
-  a ``link`` table mapping foreign interaction ids to their home store, so
-  a navigator can hop between stores.
+* **cross-links** — a :class:`CrossLink` names the store that owns an
+  interaction.  They are computed, not stored: a store's links are every
+  interaction any member holds that the store does not own, each pointing
+  at its owner under the current placement, so a navigator can hop
+  between stores, the links survive a reopen, and no link points at a
+  store without the data.
 * :func:`consolidate` — merges several stores' contents into one backend,
   deduplicating broadcast group assertions and verifying that no
   p-assertion was lost or duplicated.
@@ -140,11 +142,18 @@ class CrossLink:
     store: str
 
 
+def _holds_key(store: ProvenanceStoreInterface, key: InteractionKey) -> bool:
+    """Whether ``store`` holds any p-assertion about ``key``."""
+    return bool(
+        store.interaction_passertions(key) or store.actor_state_passertions(key)
+    )
+
+
 def _hash_to_bucket(key: InteractionKey, n: int) -> int:
     # Same canonical scope string as shard placement and cache scoping, so
     # every layer agrees on which records belong together.  This is the
-    # legacy modulo rule, kept importable (figures, supervisor fallback)
-    # and reproduced bit-for-bit by PlacementSpec(mode="modulo").
+    # legacy modulo rule, kept importable (the A4 figure, and the oracle
+    # the placement tests hold PlacementSpec(mode="modulo") to bit for bit).
     digest = hashlib.sha256(interaction_scope(key).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n
 
@@ -177,7 +186,6 @@ class StoreRouter:
         replicas: int = 1,
         placement: Optional[Union[str, PlacementSpec, PlacementMap]] = None,
         fanout_workers: Optional[int] = None,
-        hedge_after_s: Optional[float] = None,
     ):
         if not stores:
             raise ValueError("router needs at least one store")
@@ -220,10 +228,6 @@ class StoreRouter:
                 f"replicas={replicas} contradicts the placement's "
                 f"replicas={self.placement.replicas}"
             )
-        #: per-store cross-link tables: store name -> {interaction key -> owner}.
-        self._links: Dict[str, Dict[InteractionKey, str]] = {
-            name: {} for name in self._names
-        }
         self.records_routed = 0
         #: members currently treated as down (writes journal instead of
         #: dialing them; reads prefer their replica peers).
@@ -243,22 +247,19 @@ class StoreRouter:
         self._on_close = on_close
         self._closed = False
         #: guards every piece of mutable routing state above (_degraded,
-        #: _suspect, _pending, _gen_floor, _down_nonce, _links,
-        #: records_routed): the supervisor's probe thread, repair calls
-        #: and the fan-out pool's worker threads all mutate it
-        #: concurrently.  Reentrant because mark_degraded &c. are called
-        #: both bare and from under the lock.  Never held across a
-        #: member round trip.
+        #: _suspect, _pending, _gen_floor, _down_nonce, records_routed):
+        #: the supervisor's probe thread, repair calls and the fan-out
+        #: pool's worker threads all mutate it concurrently.  Reentrant
+        #: because mark_degraded &c. are called both bare and from under
+        #: the lock.  Never held across a member round trip.
         self._lock = threading.RLock()
         cap = DEFAULT_FANOUT_WORKERS if fanout_workers is None else fanout_workers
-        width = min(len(self._names), cap) if cap > 0 else 0
         #: the router's scatter-gather engine — sized min(members, cap),
-        #: lazily started, closed with the router.  fanout_workers=0 (or
-        #: 1) selects the byte-identical sequential parity mode.
-        self.fanout = FanoutExecutor(width, name="store-fanout")
-        #: fleet-level default hedge delay for per-key federated reads
-        #: (None/0 = hedging off); FederatedQueryClient inherits it.
-        self.hedge_after_s = hedge_after_s
+        #: lazily started, closed with the router.  fanout_workers=1 is
+        #: the serial baseline: one leg at a time, in member order.
+        self.fanout = FanoutExecutor(
+            min(len(self._names), cap), name="store-fanout"
+        )
 
     @property
     def store_names(self) -> List[str]:
@@ -513,19 +514,19 @@ class StoreRouter:
                 gens.append(("migrating", self._down_nonce))
         return GenerationVector(tuple(gens), epoch=self.placement.epoch)
 
-    def _commit_share(self, name: str, share: List[Assertion]) -> None:
-        """Commit one member's share of a write, replication-aware.
+    def _commit_share(
+        self, name: str, share: List[Assertion], converge: bool
+    ) -> None:
+        """Commit one member's share of a write.
 
-        Replicated mode tolerates duplicate rejections by falling back to
+        With ``converge`` (decided by :meth:`put_many` when it planned the
+        write) duplicate rejections are tolerated by falling back to
         per-assertion puts that skip them: a retried in-doubt batch must
-        converge on the replicas that already hold (part of) it.  At R=1
-        duplicates propagate unchanged — they are a client error, not a
-        retry artifact — *except* during a migration, when a retried
-        in-doubt dual-commit legitimately finds its data already on one
-        side and must converge exactly like a replicated retry.
+        converge on the replicas that already hold (part of) it.
+        Otherwise duplicates propagate unchanged — at R=1 they are a
+        client error, not a retry artifact.
         """
         store = self._stores[name]
-        converge = self.replicas > 1 or self.placement.in_transition
         try:
             store.put_many(share)
         except BaseException as exc:
@@ -557,13 +558,21 @@ class StoreRouter:
         An assertion is **placed** once every target durably holds it —
         or, for a broadcast group assertion at R>1, once at least
         ``replicas`` members do (the replication floor).  Placed
-        assertions count in ``records_routed`` and gain cross-links, so
-        the navigation tables never point at a store that did not take
-        the data and never miss data a store did take; the call returns
+        assertions count in ``records_routed``; the call returns
         (acknowledges the batch) only when every assertion is placed.  If
         a member store rejects part of its batch the exception
         propagates, and the accounting still covers what did land (a
         failed member is probed for the accepted prefix of its share).
+
+        Duplicate rejections are skipped (so a retry converges) at R>1.
+        At R=1 they are skipped when the plan dual-commits a key a
+        migration is moving: a retried in-doubt write, or the
+        migration's own stream, may already have put the record on one
+        side.  That is decided once per batch, from the write sets,
+        before any share starts: if one assertion needs it, every share
+        of the batch skips duplicates.  Group assertions need no such
+        rule — a store takes a re-assertion as a no-op, so a broadcast
+        reaching a joining member the stream already seeded cannot fail.
 
         Member-down handling: the dead member is marked degraded and its
         share journaled for :meth:`repair`.  At R>1 the *other* members'
@@ -578,19 +587,24 @@ class StoreRouter:
         degraded marks and :class:`PartialCommitError` fields do not
         depend on which share finished first.
         """
-        per_store: Dict[str, List[Assertion]] = {name: [] for name in self._names}
+        # Keyed by the members the plan names, not by ``_names``: a live
+        # add_member or decommission may swap that list mid-call.
+        per_store: Dict[str, List[Assertion]] = {}
         plan: List[Tuple[Assertion, str, Tuple[str, ...]]] = []
+        converge = self.replicas > 1
         for assertion in assertions:
             if isinstance(assertion, GroupAssertion):
                 targets = tuple(self._names)
-                for name in targets:
-                    per_store[name].append(assertion)
-                plan.append((assertion, "*", targets))
+                owner = "*"
             else:
                 targets = tuple(self.write_set(assertion.interaction_key))
-                for name in targets:
-                    per_store[name].append(assertion)
-                plan.append((assertion, targets[0], targets))
+                owner = targets[0]
+                # Wider than R: the union of a moving key's old and new
+                # replica sets.
+                converge = converge or len(targets) > self.replicas
+            for name in targets:
+                per_store.setdefault(name, []).append(assertion)
+            plan.append((assertion, owner, targets))
         committed: set = set()
         failed: set = set()
         causes: Dict[str, BaseException] = {}
@@ -599,10 +613,8 @@ class StoreRouter:
             with self._lock:
                 degraded = set(self._degraded) if self.replicas > 1 else set()
             work: List[str] = []
-            for name in self._names:
+            for name in sorted(per_store):
                 share = per_store[name]
-                if not share:
-                    continue
                 if name in degraded:
                     failed.add(name)
                     self._journal(name, share)
@@ -614,12 +626,12 @@ class StoreRouter:
                     continue
                 work.append(name)
             results = self.fanout.scatter(
-                work, lambda name: self._commit_share(name, per_store[name])
+                work,
+                lambda name: self._commit_share(name, per_store[name], converge),
             )
             # Aggregate EVERY member's outcome before raising: a fatal
             # (non-journalable) error must not hide which other members
-            # committed, or the accounting below would under-count and
-            # the link tables would miss data a store really took.
+            # committed, or the accounting below would under-count.
             fatal: Optional[BaseException] = None
             for result in results:
                 name = result.target
@@ -639,16 +651,12 @@ class StoreRouter:
             if fatal is not None:
                 raise fatal
         finally:
-            for assertion, owner, targets in plan:
+            for assertion, _owner, targets in plan:
                 if not self._placed(assertion, targets, committed, failed):
                     all_placed = False
                     continue
                 with self._lock:
                     self.records_routed += 1
-                route_key = (
-                    assertion.member if owner == "*" else assertion.interaction_key
-                )
-                self._note_link(route_key, self.owner_of(route_key))
         if not all_placed:
             raise PartialCommitError(
                 f"batch share(s) for {sorted(causes)} did not persist "
@@ -707,35 +715,30 @@ class StoreRouter:
             raise
         return any(p.store_key == assertion.store_key for p in found)
 
-    def _note_link(self, key: InteractionKey, owner: str) -> None:
-        with self._lock:
-            for name in self._names:
-                if name != owner:
-                    self._links[name][key] = owner
-
     def cross_links(self, store_name: str) -> List[CrossLink]:
-        """The navigation table held at ``store_name``."""
-        with self._lock:
-            table = self._links.get(store_name)
-            if table is None:
-                raise KeyError(f"unknown store {store_name!r}")
-            items = sorted(table.items())
-        return [
-            CrossLink(interaction_key=key, store=owner) for key, owner in items
+        """The navigation table at ``store_name``: one link per interaction
+        any member holds that ``store_name`` does not own, pointing at the
+        owner under the current placement.  The keys are the federated
+        union, so a down member whose replicas cover it costs nothing.
+        """
+        self.store(store_name)  # an unknown name raises KeyError
+        links = [
+            CrossLink(interaction_key=key, store=self.owner_of(key))
+            for key in FederatedQueryClient(self).interaction_keys()
         ]
+        return [link for link in links if link.store != store_name]
 
     def resolve(self, start_store: str, key: InteractionKey) -> str:
         """Navigate: from ``start_store``, find where ``key`` lives.
 
-        Returns ``start_store`` itself when the records are local; otherwise
-        follows the cross-link.
+        Returns ``start_store`` itself when the records are local;
+        otherwise follows the cross-link to the key's owner, if the owner
+        holds them.
         """
-        store = self.store(start_store)
-        if store.interaction_passertions(key) or store.actor_state_passertions(key):
+        if _holds_key(self.store(start_store), key):
             return start_store
-        with self._lock:
-            owner = self._links[start_store].get(key)
-        if owner is None:
+        owner = self.owner_of(key)
+        if owner == start_store or not _holds_key(self._stores[owner], key):
             raise KeyError(
                 f"no records or cross-link for {key} at store {start_store!r}"
             )
@@ -768,23 +771,10 @@ class StoreRouter:
         current owner to the members gaining it, drains the write tail,
         then atomically cuts over — or rolls the placement back on any
         failure.  Re-running a failed rebalance resumes via
-        duplicate-skip.  Cross-link tables are recomputed for the new
-        owners at cutover.
+        duplicate-skip.  Cross-links follow the new owners from the
+        cutover on, since they are computed from the placement.
         """
-        report = rebalance(self, spec, page=page, on_phase=on_phase)
-        self._relink()
-        return report
-
-    def _relink(self) -> None:
-        """Repoint every cross-link table at the current owners."""
-        with self._lock:
-            keys = {
-                key for table in self._links.values() for key in table
-            }
-            for name in self._names:
-                self._links[name] = {}
-        for key in keys:
-            self._note_link(key, self.owner_of(key))
+        return rebalance(self, spec, page=page, on_phase=on_phase)
 
     def add_member(
         self,
@@ -804,7 +794,6 @@ class StoreRouter:
             raise ValueError(f"store {name!r} is already a member")
         self._stores[name] = store
         self._names = sorted(self._stores)
-        self._links[name] = {}
         spec = self.placement.current.with_members(self._names)
         try:
             return self.rebalance_to(spec, page=page, on_phase=on_phase)
@@ -815,7 +804,6 @@ class StoreRouter:
                 # it would route keys at a missing store.  Keep it.
                 raise
             self._stores.pop(name, None)
-            self._links.pop(name, None)
             self._names = sorted(self._stores)
             raise
 
@@ -853,7 +841,6 @@ class StoreRouter:
         store = self._stores.pop(name)
         self._names = sorted(self._stores)
         with self._lock:
-            self._links.pop(name, None)
             self._degraded.discard(name)
             self._suspect.discard(name)
             self._pending.pop(name, None)
@@ -921,11 +908,8 @@ class FederatedQueryClient:
         #: opt-in hedge delay for per-key reads: when the preferred
         #: replica has not answered within this many seconds, the next
         #: replica is fired too and the first success wins (see
-        #: :meth:`_read_replicas`).  Defaults to the router's fleet-level
-        #: setting; None or 0 means no hedging.
-        self.hedge_after_s = (
-            router.hedge_after_s if hedge_after_s is None else hedge_after_s
-        )
+        #: :meth:`_read_replicas`).  None or <= 0 means no hedging.
+        self.hedge_after_s = hedge_after_s
         #: guards the merge caches and counters against concurrent
         #: readers (hedge legs and fan-out workers report through here).
         self._lock = threading.Lock()
@@ -974,17 +958,12 @@ class FederatedQueryClient:
         asked first, the next one fires only if no answer arrives in
         time, and the first success wins — one slow worker stops setting
         the read tail.  A replica that *fails* (rather than stalls) is
-        marked degraded exactly as in the sequential loop.
+        marked degraded exactly as in the unhedged failover loop.
         """
         targets = self.router.read_set(key)
         order = self._read_order(targets)
         hedge = self.hedge_after_s
-        if (
-            hedge is not None
-            and hedge > 0
-            and len(order) > 1
-            and not self.router.fanout.sequential
-        ):
+        if hedge is not None and hedge > 0 and len(order) > 1:
             return self._read_hedged(key, targets, order, read, hedge)
         last: Optional[BaseException] = None
         for index, name in enumerate(order):
@@ -1210,23 +1189,22 @@ class FederatedQueryClient:
         return merged
 
 
-class FederatedStoreAdapter:
+class FederatedStoreAdapter(FederatedQueryClient):
     """The whole fleet behind one store-interface surface.
 
     Duck-typed like :class:`~repro.fleet.remote.RemoteStore`: writes go
     through the router (replication, dual-commit during migrations),
-    reads through a :class:`FederatedQueryClient` (replica failover,
-    generation-vector merges), so a :class:`~repro.store.service.PReServActor`
-    — and therefore a whole :class:`~repro.app.experiment.Experiment` —
-    can serve a multi-member fleet without knowing it is one.  The
-    freshness token is the router's generation vector (placement epoch
-    included), so client result caches invalidate on member writes *and*
-    on migration cutovers.
+    reads are the inherited :class:`FederatedQueryClient` ones (replica
+    failover, generation-vector merges), so a
+    :class:`~repro.store.service.PReServActor` — and therefore a whole
+    :class:`~repro.app.experiment.Experiment` — can serve a multi-member
+    fleet without knowing it is one.  The freshness token is the router's
+    generation vector (placement epoch included), so client result caches
+    invalidate on member writes *and* on migration cutovers.
     """
 
     def __init__(self, router: StoreRouter):
-        self.router = router
-        self.federated = FederatedQueryClient(router)
+        super().__init__(router)
         #: interface parity — maintenance is owned member-side.
         self.maintenance = None
 
@@ -1238,41 +1216,6 @@ class FederatedStoreAdapter:
         batch = list(assertions)
         self.router.put_many(batch)
         return len(batch)
-
-    # -- read path ------------------------------------------------------------
-    def interaction_keys(self) -> List[InteractionKey]:
-        return self.federated.interaction_keys()
-
-    def interaction_passertions(
-        self, key: InteractionKey, view: Optional[ViewKind] = None
-    ) -> List[InteractionPAssertion]:
-        return self.federated.interaction_passertions(key, view)
-
-    def actor_state_passertions(
-        self,
-        key: InteractionKey,
-        view: Optional[ViewKind] = None,
-        state_type: Optional[str] = None,
-    ) -> List[ActorStatePAssertion]:
-        return self.federated.actor_state_passertions(key, view, state_type)
-
-    def group_members(self, group_id: str) -> List[InteractionKey]:
-        return self.federated.group_members(group_id)
-
-    def groups_of(self, key: InteractionKey) -> List[str]:
-        return self.federated.groups_of(key)
-
-    def group_ids(self, kind: Optional[str] = None) -> List[str]:
-        return self.federated.group_ids(kind)
-
-    def group_kinds(self, group_ids=None) -> Dict[str, str]:
-        return self.federated.group_kinds(group_ids)
-
-    def passertion_counts(self, key: InteractionKey) -> Tuple[int, int]:
-        return self.federated.passertion_counts(key)
-
-    def counts(self) -> StoreCounts:
-        return self.federated.counts()
 
     # -- cache freshness -------------------------------------------------------
     @property
@@ -1326,7 +1269,6 @@ def sharded_store_fleet(
     fault_rules: Optional[Dict[str, tuple]] = None,
     placement: str = "modulo",
     fanout_workers: Optional[int] = None,
-    hedge_after_s: Optional[float] = None,
 ) -> StoreRouter:
     """A §7 deployment in one call: a router over KVLog-backed members.
 
@@ -1370,11 +1312,9 @@ def sharded_store_fleet(
     ``fanout_workers`` sizes the router's scatter-gather pool (capped at
     the member count; default ``min(members, 8)``): replica commits,
     broadcasts and federated merges run concurrently across members.
-    Pass ``0`` for the sequential parity mode — byte-identical behavior,
-    one member at a time.  ``hedge_after_s`` opts federated per-key reads
-    into hedging: a read whose preferred replica has not answered within
-    that many seconds fires the next replica too and takes the first
-    success, bounding the read tail under one slow worker.
+    ``1`` is the serial baseline — the same code, one member at a time.
+    Hedged reads are a read-side setting:
+    ``FederatedQueryClient(router, hedge_after_s=...)``.
 
     ``placement`` selects the placement rule: ``"modulo"`` (default) is
     the legacy hash-mod-N successor rule, kept for byte-identical
@@ -1434,7 +1374,6 @@ def sharded_store_fleet(
             on_close=lambda: fleet.close(raise_errors=False),
             placement=pmap,
             fanout_workers=fanout_workers,
-            hedge_after_s=hedge_after_s,
         )
         router.fleet = fleet  # type: ignore[attr-defined]
 
@@ -1479,12 +1418,7 @@ def sharded_store_fleet(
     }
     if scheduler is not None:
         scheduler.start()
-    router = StoreRouter(
-        stores,
-        placement=pmap,
-        fanout_workers=fanout_workers,
-        hedge_after_s=hedge_after_s,
-    )
+    router = StoreRouter(stores, placement=pmap, fanout_workers=fanout_workers)
 
     def _inprocess_factory(name: Optional[str] = None):
         if name is None:

@@ -1,13 +1,13 @@
 """Scatter-gather fan-out for the distributed store layer.
 
-Every cross-member operation in :mod:`repro.store.distributed` used to be
-a sequential loop: an R-replica commit paid R socket round trips (plus R
-modeled commit barriers) back to back, and an N-member federated merge
-paid ~N×.  :class:`FanoutExecutor` is the shared engine that turns those
-loops into concurrent scatter-gather calls while keeping the *aggregation*
-deterministic — results come back in target order, so the router can
-reproduce the sequential path's journaling, error fields and ack
-semantics byte-for-byte.
+One member at a time, an R-replica commit pays R socket round trips
+(plus R modeled commit barriers) back to back, and an N-member federated
+merge pays ~N×.  :class:`FanoutExecutor` is the shared engine that runs
+every cross-member operation in :mod:`repro.store.distributed` as a
+concurrent scatter-gather call while keeping the *aggregation*
+deterministic — results come back in target order, so the router's
+journaling, error fields and ack semantics do not depend on the pool's
+width or on which leg finished first.
 
 Two shapes:
 
@@ -22,8 +22,9 @@ Two shapes:
   the pool against itself.
 
 The executor is per-router: sized ``min(members, cap)``, started on first
-use, closed with the router.  ``max_workers <= 1`` degrades to the exact
-sequential loop (the parity mode the byte-identical transport tests pin).
+use, closed with the router.  Width 1 is the serial baseline: the same
+code on a one-thread pool, so the legs run one at a time in submission
+order (the parity mode the byte-identical transport tests pin).
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class FanoutExecutor:
     """A bounded scatter-gather engine over a lazily-started thread pool."""
 
     def __init__(self, max_workers: int, name: str = "fanout"):
-        if max_workers < 0:
-            raise ValueError("max_workers must be >= 0")
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
         self.stats = FanoutStats()
         self._name = name
@@ -104,11 +105,6 @@ class FanoutExecutor:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._inflight = 0
         self._closed = False
-
-    @property
-    def sequential(self) -> bool:
-        """True when this executor degrades to the plain sequential loop."""
-        return self.max_workers <= 1
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -143,30 +139,26 @@ class FanoutExecutor:
 
         Each target's outcome (value or the exception it raised) lands in
         its own :class:`FanoutResult`, in exactly the order ``targets``
-        were given — the property that lets a caller aggregate as if it
-        had run the sequential loop.  ``deadline_s`` bounds the whole
+        were given — the property that lets a caller aggregate as if the
+        legs had run one after another.  ``deadline_s`` bounds the whole
         gather: a leg that has not finished by then reports a
         :class:`FanoutTimeout` (the leg itself is abandoned, not
-        interrupted).  In sequential mode the legs run inline, one at a
-        time, in order — byte-identical to the historical loop.
+        interrupted).  A single target runs inline in the caller's thread.
         """
         targets = list(targets)
         with self._lock:
             self.stats.fanouts += 1
         if not targets:
             return []
-        if self.sequential or len(targets) == 1:
-            out: List[FanoutResult] = []
-            for target in targets:
-                try:
-                    out.append(FanoutResult(target, value=self._call(target, fn)))
-                except BaseException as exc:
-                    out.append(FanoutResult(target, error=exc))
-            return out
+        if len(targets) == 1:
+            try:
+                return [FanoutResult(targets[0], value=self._call(targets[0], fn))]
+            except BaseException as exc:
+                return [FanoutResult(targets[0], error=exc)]
         pool = self._ensure_pool()
         futures = [pool.submit(self._call, target, fn) for target in targets]
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        out = []
+        out: List[FanoutResult] = []
         for target, future in zip(targets, futures):
             try:
                 if deadline is None:
@@ -220,21 +212,6 @@ class FanoutExecutor:
             retryable = lambda exc: True  # noqa: E731
         with self._lock:
             self.stats.fanouts += 1
-        if self.sequential or len(targets) == 1:
-            # Plain failover loop: no timers, no extra threads.
-            outcome = HedgeOutcome()
-            for index, target in enumerate(targets):
-                try:
-                    outcome.winner = index
-                    outcome.value = self._call(target, fn)
-                    return outcome
-                except BaseException as exc:
-                    outcome.winner = None
-                    outcome.errors[index] = exc
-                    if not retryable(exc):
-                        outcome.fatal = exc
-                        return outcome
-            return outcome
         cond = threading.Condition()
         done: Dict[int, tuple] = {}  # index -> ("ok", value) | ("err", exc)
         state = {"winner": None, "fatal": None}

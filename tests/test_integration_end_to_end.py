@@ -16,7 +16,12 @@ from repro.core.recorder import Journal, ProvenanceRecorder, RecordingMode
 from repro.registry.client import RegistryClient
 from repro.store.backends import KVLogBackend, MemoryBackend
 from repro.store.curation import export_archive, import_archive
-from repro.store.distributed import FederatedQueryClient, StoreRouter, consolidate
+from repro.store.distributed import (
+    FederatedQueryClient,
+    StoreRouter,
+    consolidate,
+    sharded_store_fleet,
+)
 from repro.usecases.comparison import categorise_scripts, compare_sessions
 from repro.usecases.semantic import validate_session
 
@@ -142,6 +147,45 @@ class TestDistributedProvenanceWithRealRuns:
         trace = build_trace(merged, result.session_id)
         assert trace.undocumented() == []
         assert data_lineage(trace, result.run.message_ids["average"])
+
+    def test_fleet_mode_records_on_every_replica(self, small_db, tmp_path):
+        """``store_members > 1``: the actor serves a 2-member R=2 ring
+        fleet through the federated adapter, and the fleet reopens."""
+        root = tmp_path / "fleet"
+        exp = Experiment(
+            ExperimentConfig(
+                sample_bytes=1200,
+                n_permutations=2,
+                record_scripts=True,
+                store_backend="kvlog",
+                store_path=root,
+                store_members=2,
+                store_replicas=2,
+                store_placement="ring",
+            ),
+            db=small_db,
+        )
+        try:
+            result = exp.run()
+            recorded = exp.backend.counts()
+            router = exp.store_router
+            held = {n: router.store(n).counts() for n in router.store_names}
+        finally:
+            exp.close()
+        assert result.records_flushed > 0
+        # R=2 over two members: each holds every record once.
+        assert [c.total for c in held.values()] == [result.records_flushed] * 2
+        assert recorded.total == result.records_flushed
+        reopened = sharded_store_fleet(
+            root, members=2, replicas=2, placement="ring"
+        )
+        try:
+            assert FederatedQueryClient(reopened).counts() == recorded
+            assert {
+                n: reopened.store(n).counts() for n in reopened.store_names
+            } == held
+        finally:
+            reopened.close()
 
     def test_archive_roundtrip_preserves_usecases(self, experiment_factory, tmp_path):
         """Curated provenance still answers UC1 and UC2 after restore."""

@@ -6,10 +6,12 @@ import pytest
 
 from repro.store.backends import MemoryBackend
 from repro.store.distributed import (
+    CrossLink,
     FederatedQueryClient,
     StoreCloseError,
     StoreRouter,
     consolidate,
+    sharded_store_fleet,
 )
 from repro.figures.synthstore import populate_store
 
@@ -151,6 +153,19 @@ class TestCrossLinks:
         router, _ = make_router()
         with pytest.raises(KeyError, match="cross-link"):
             router.resolve(router.store_names[0], key(99))
+
+    def test_links_survive_a_reopen(self, tmp_path):
+        router = sharded_store_fleet(tmp_path, members=3)
+        router.put_many([ipa(i) for i in range(12)])
+        owner = router.owner_of(key(1))
+        non_owner = next(n for n in router.store_names if n != owner)
+        router.close()
+        reopened = sharded_store_fleet(tmp_path, members=3)
+        try:
+            assert CrossLink(key(1), owner) in reopened.cross_links(non_owner)
+            assert reopened.resolve(non_owner, key(1)) == owner
+        finally:
+            reopened.close()
 
 
 class TestFederatedQuery:

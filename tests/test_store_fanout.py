@@ -4,9 +4,9 @@ Three layers under test:
 
 * :class:`repro.store.fanout.FanoutExecutor` in isolation — deterministic
   target-order gather, per-target error capture, deadlines, the
-  sequential parity mode, hedging (win / failover / fatal) and stats;
-* the router's *parity contract* — a fan-out router and a sequential
-  (``fanout_workers=0``) router produce byte-identical observable state
+  width-1 serial baseline, hedging (win / failover / fatal) and stats;
+* the router's *parity contract* — a fan-out router and a width-1
+  (``fanout_workers=1``) router produce byte-identical observable state
   for every single-member failure: the same
   :class:`~repro.store.distributed.PartialCommitError` fields, the same
   repair journal, the same store contents.  Covered both in-process
@@ -84,15 +84,20 @@ class TestFanoutExecutor:
         finally:
             ex.close()
 
-    def test_sequential_mode_runs_inline(self):
-        ex = FanoutExecutor(0)
-        assert ex.sequential
-        seen = []
-        results = ex.scatter(["x", "y"], lambda t: seen.append(t) or t)
-        assert [r.value for r in results] == ["x", "y"]
-        assert seen == ["x", "y"]
-        assert ex._pool is None  # no threads were ever started
-        assert ex.stats.peak_concurrency == 1
+    def test_width_one_runs_legs_serially_in_order(self):
+        with pytest.raises(ValueError):
+            FanoutExecutor(0)
+        ex = FanoutExecutor(1)
+        try:
+            seen = []
+            results = ex.scatter(
+                ["x", "y", "z"], lambda t: seen.append(t) or t
+            )
+            assert [r.value for r in results] == ["x", "y", "z"]
+            assert seen == ["x", "y", "z"]
+            assert ex.stats.peak_concurrency == 1
+        finally:
+            ex.close()
 
     def test_scatter_deadline_reports_timeout(self):
         ex = FanoutExecutor(2)
@@ -193,17 +198,6 @@ class TestFanoutExecutor:
         finally:
             ex.close()
 
-    def test_hedged_sequential_mode_is_a_failover_loop(self):
-        ex = FanoutExecutor(0)
-        def fn(t):
-            if t == "down":
-                raise Fault("worker-unavailable", "down")
-            return t
-        outcome = ex.hedged(["down", "up"], fn, hedge_after_s=0.01)
-        assert outcome.winner == 1 and outcome.value == "up"
-        assert outcome.hedges_fired == 0
-        assert ex._pool is None
-
 
 class TestRouterLockHammer:
     """Satellite (a): the shared bookkeeping survives concurrent mutation."""
@@ -275,14 +269,14 @@ def _observable_state(router, stores, exc):
 
 
 class TestSequentialParity:
-    """Satellite (c): fan-out and sequential routers are indistinguishable."""
+    """Satellite (c): fan-out and width-1 routers are indistinguishable."""
 
     BATCH = [ipa(i) for i in range(12)] + [spa(3), ga(5)]
 
     @pytest.mark.parametrize("victim", ["store-00", "store-01", "store-02"])
     def test_put_many_partial_commit_is_identical(self, victim):
         outcomes = {}
-        for mode, workers in (("seq", 0), ("par", None)):
+        for mode, workers in (("seq", 1), ("par", None)):
             stores = {
                 f"store-{i:02d}": FlakyStore(f"store-{i:02d}")
                 for i in range(3)
@@ -302,7 +296,7 @@ class TestSequentialParity:
     def test_single_put_partial_commit_is_identical(self, victim):
         probe = ipa(0)
         outcomes = {}
-        for mode, workers in (("seq", 0), ("par", None)):
+        for mode, workers in (("seq", 1), ("par", None)):
             stores = {
                 f"store-{i:02d}": FlakyStore(f"store-{i:02d}")
                 for i in range(3)
@@ -324,11 +318,11 @@ class TestSequentialParity:
         assert outcomes["seq"] == outcomes["par"]
 
     def test_retry_after_partial_commit_converges_identically(self):
-        for mode, workers in (("seq", 0), ("par", None)):
+        for mode, workers in (("seq", 1), ("par", None)):
             router, stores = make_replicated(n=3, replicas=2)
             router.fanout.close()
             router.fanout = FanoutExecutor(
-                0 if workers == 0 else 3, name="store-fanout"
+                1 if workers == 1 else 3, name="store-fanout"
             )
             stores["store-01"].down = True
             with pytest.raises(PartialCommitError):
@@ -355,7 +349,7 @@ class TestProcessTransportParity:
 
         batch = [ipa(i) for i in range(12)]
         outcomes = {}
-        for mode, workers in (("seq", 0), ("par", None)):
+        for mode, workers in (("seq", 1), ("par", None)):
             router = sharded_store_fleet(
                 tmp_path / f"{mode}-{victim}",
                 members=3,
@@ -397,23 +391,20 @@ class _SlowStore(MemoryBackend):
 
 
 class TestHedgedReads:
-    def _fleet(self, stall_s, hedge_after_s):
+    def _fleet(self, stall_s):
         stores = {
             "store-00": _SlowStore(stall_s=stall_s),
             "store-01": _SlowStore(),
             "store-02": _SlowStore(),
         }
-        router = StoreRouter(
-            dict(stores), replicas=2, hedge_after_s=hedge_after_s
-        )
-        return router, stores
+        return StoreRouter(dict(stores), replicas=2), stores
 
     def test_hedge_bounds_reads_under_one_slow_member(self):
-        router, _ = self._fleet(stall_s=0.25, hedge_after_s=0.02)
+        router, _ = self._fleet(stall_s=0.25)
         try:
             batch = [ipa(i) for i in range(8)]
             router.put_many(batch)
-            client = FederatedQueryClient(router)
+            client = FederatedQueryClient(router, hedge_after_s=0.02)
             slow_keys = [
                 a.interaction_key
                 for a in batch
@@ -438,14 +429,17 @@ class TestHedgedReads:
         finally:
             router.close()
 
-    def test_explicit_zero_disables_inherited_hedging(self):
-        router, _ = self._fleet(stall_s=0.05, hedge_after_s=0.01)
+    def test_no_hedge_unless_the_client_sets_one(self):
+        router, _ = self._fleet(stall_s=0.05)
         try:
             batch = [ipa(i) for i in range(6)]
             router.put_many(batch)
-            client = FederatedQueryClient(router, hedge_after_s=0)
-            for a in batch:
-                assert client.interaction_passertions(a.interaction_key)
+            for client in (
+                FederatedQueryClient(router),
+                FederatedQueryClient(router, hedge_after_s=0),
+            ):
+                for a in batch:
+                    assert client.interaction_passertions(a.interaction_key)
             assert router.fanout.stats.hedges_fired == 0
         finally:
             router.close()
@@ -453,7 +447,7 @@ class TestHedgedReads:
     def test_hedge_survives_worker_death_mid_race(self):
         """Failure-matrix row: the preferred replica dies (not stalls) —
         the race fails over immediately and the read still answers."""
-        router, stores = self._fleet(stall_s=0.0, hedge_after_s=0.02)
+        router, stores = self._fleet(stall_s=0.0)
         try:
             batch = [ipa(i) for i in range(8)]
             router.put_many(batch)
@@ -463,7 +457,7 @@ class TestHedgedReads:
                     flaky.put(a)
             router._stores["store-00"] = flaky
             flaky.down = True
-            client = FederatedQueryClient(router)
+            client = FederatedQueryClient(router, hedge_after_s=0.02)
             for a in batch:
                 assert client.interaction_passertions(a.interaction_key)
             assert "store-00" in router.degraded_members

@@ -270,6 +270,77 @@ class TestLiveRebalance:
                 f"owner {owner!r}"
             )
 
+    def test_dual_commit_leg_after_cutover_skips_its_own_record(self):
+        """Whether a share skips duplicates is decided when the write is
+        planned: a dual-commit leg that starts only after the cutover
+        still converges on the copy the stream put on the new owner."""
+        stores = {f"store-{i:02d}": MemoryBackend() for i in range(3)}
+        router = StoreRouter(stores, fanout_workers=1)
+        ring = PlacementSpec(members=tuple(stores), mode="ring")
+        i = next(
+            i
+            for i in range(500)
+            if router.owner_of(key(i)) < ring.owner_of(key(i))
+        )
+        old, new = router.owner_of(key(i)), ring.owner_of(key(i))
+        router.placement.begin_transition(ring)
+        record = ipa(i)
+        stores[new].put(record)  # the stream got there first
+        real_put_many = stores[old].put_many
+
+        def cut_over_first(assertions):
+            router.placement.commit_transition()
+            return real_put_many(assertions)
+
+        # Width 1 runs the old owner's leg, then the new owner's.
+        stores[old].put_many = cut_over_first
+        assert router.put(record) == old
+        assert not router.placement.in_transition
+        for name in (old, new):
+            held = stores[name].interaction_passertions(key(i))
+            assert [h.local_id for h in held] == [record.local_id]
+
+    def test_broadcast_to_a_joining_member_skips_its_own_record(self):
+        """At R=1 a broadcast planned while a member is joining lands on
+        the joiner even when the migration stream already put the group
+        assertion there: a store takes the re-assertion as a no-op."""
+        router, _ = make_router(3)
+        joiner = MemoryBackend()
+        membership = ga(0)
+
+        def on_phase(phase):
+            if phase == "begin":
+                joiner.put(membership)  # the stream got there first
+                assert router.put(membership) == "*"
+
+        router.add_member("store-03", joiner, on_phase=on_phase)
+        for name in router.store_names:
+            held = router.store(name).group_members("session-A")
+            assert held == [key(0)], name
+
+    def test_batch_planned_across_a_membership_change(self):
+        """``put_many`` keys its shares by the members its plan names, so
+        a live add_member between two planned assertions strands none."""
+        router, _ = make_router(3)
+        grown = router.placement.current.with_members(
+            router.store_names + ["store-03"]
+        )
+        stay = next(
+            i
+            for i in range(500)
+            if router.owner_of(key(i)) == grown.owner_of(key(i))
+        )
+        written = [ipa(stay), ipa(stay + 1)]
+
+        def batch():
+            yield written[0]
+            router.add_member("store-03", MemoryBackend())
+            yield written[1]
+
+        router.put_many(batch())
+        assert router.store_names[-1] == "store-03"
+        assert_all_readable(router, written)
+
 
 class TestCrashWindows:
     """Scripted failures at every protocol boundary."""

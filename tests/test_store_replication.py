@@ -320,6 +320,16 @@ class TestFailoverReads:
         keys = queries.interaction_keys()
         assert len(keys) == 20
 
+    def test_cross_links_survive_one_down_member(self):
+        router, stores = make_replicated(n=4, replicas=2)
+        for i in range(20):
+            router.put(ipa(i))
+        stores["store-01"].down = True
+        links = router.cross_links("store-00")
+        assert {link.interaction_key for link in links} == {
+            key(i) for i in range(20) if router.owner_of(key(i)) != "store-00"
+        }
+
     def test_keys_union_refuses_when_replica_set_fully_dead(self):
         router, stores = make_replicated(n=3, replicas=1)
         for i in range(10):
