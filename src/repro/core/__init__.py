@@ -26,6 +26,7 @@ from repro.core.passertion import (
     InteractionPAssertion,
     PAssertion,
     ViewKind,
+    parse_assertion,
     parse_passertion,
 )
 from repro.core.prep import (
@@ -74,6 +75,7 @@ __all__ = [
     "ViewKind",
     "build_trace",
     "data_lineage",
+    "parse_assertion",
     "parse_passertion",
     "parse_prep_message",
     "validate_passertion_xml",

@@ -15,7 +15,7 @@ used to reach its recording throughput.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.passertion import (
     ActorStatePAssertion,
@@ -28,7 +28,6 @@ from repro.core.prep import PrepAck, PrepQuery, PrepRecord, PrepResult
 from repro.soa.bus import MessageBus
 from repro.soa.xmldoc import XmlElement
 from repro.store.interface import Assertion, StoreCounts
-from repro.store.querycache import LruMap, QueryPlan
 
 
 class ProvenanceRecordClient:
@@ -134,13 +133,12 @@ class ProvenanceRecordClient:
 class ProvenanceQueryClient:
     """Typed wrapper over the PReServ query port.
 
-    With a ``generation_source`` — a callable returning the store's current
-    write generation, e.g. ``backend.generation`` via
-    :meth:`~repro.store.service.PReServActor.store_generation` — repeated
-    identical queries are answered from a client-side result cache without a
-    bus round trip, for as long as the generation has not advanced.  Without
-    one, every query goes to the store (``calls`` counts bus calls only;
-    ``cache_hits`` counts locally answered queries).
+    Every method is one query round trip to the store (``calls`` counts
+    them); repeated queries are served warm by the store's own result
+    cache (:class:`~repro.store.querycache.QueryCache`), not cached here.
+    Its read methods are the store interface's read surface, which is
+    what lets :class:`~repro.fleet.remote.RemoteStore` stand in for a
+    store.
     """
 
     def __init__(
@@ -148,32 +146,14 @@ class ProvenanceQueryClient:
         bus: MessageBus,
         store_endpoint: str = "preserv",
         client_endpoint: str = "query-client",
-        generation_source: Optional[Callable[[], int]] = None,
-        max_cached_results: int = 1024,
     ):
         self.bus = bus
         self.store_endpoint = store_endpoint
         self.client_endpoint = client_endpoint
-        self.generation_source = generation_source
         self.calls = 0
-        self.cache_hits = 0
-        self._results: LruMap = LruMap(max_cached_results)
 
     def _query(self, query_type: str, **params: str) -> PrepResult:
         query = PrepQuery(query_type=query_type, params=dict(params))
-        generation: Optional[int] = None
-        cache_key: Optional[Tuple[str, Tuple[Tuple[str, str], ...]]] = None
-        if self.generation_source is not None:
-            generation = self.generation_source()
-            # same canonical key as the server-side result cache
-            cache_key = QueryPlan.key_for(query)
-            entry = self._results.get(cache_key)
-            if entry is not None and entry[0] == generation:
-                self.cache_hits += 1
-                # fresh wrapper per hit so callers can't poison the entry's
-                # item list (the elements themselves are shared, frozen by
-                # the server cache when it is enabled)
-                return PrepResult(items=list(entry[1].items))
         self.calls += 1
         response = self.bus.call(
             source=self.client_endpoint,
@@ -181,13 +161,7 @@ class ProvenanceQueryClient:
             operation="query",
             payload=query.to_xml(),
         )
-        result = PrepResult.from_xml(response)
-        if cache_key is not None and generation is not None:
-            # store a private copy so the caller's wrapper can't poison it
-            self._results.put(
-                cache_key, (generation, PrepResult(items=list(result.items)))
-            )
-        return result
+        return PrepResult.from_xml(response)
 
     @staticmethod
     def _key_params(key: InteractionKey) -> Dict[str, str]:
@@ -254,6 +228,18 @@ class ProvenanceQueryClient:
         params = {"kind": kind} if kind else {}
         result = self._query("groups", **params)
         return [el.attrs["id"] for el in result.items]
+
+    def group_kinds(
+        self, group_ids: Optional[Iterable[str]] = None
+    ) -> Dict[str, str]:
+        """``{group_id: kind}`` from one ``groups`` query, like the store
+        interface's: every group when ``group_ids`` is None, otherwise
+        those ids, with unknown ones omitted."""
+        result = self._query("groups")
+        kinds = {el.attrs["id"]: el.attrs["kind"] for el in result.items}
+        if group_ids is None:
+            return kinds
+        return {gid: kinds[gid] for gid in group_ids if gid in kinds}
 
     def passertion_counts(self, key: InteractionKey) -> Tuple[int, int]:
         """Both per-key p-assertion counts in one query round trip."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.soa.xmldoc import XmlElement
 
@@ -239,3 +239,10 @@ def parse_passertion(el: XmlElement) -> PAssertion:
             content=content,
         )
     raise ValueError(f"unknown p-assertion kind {kind!r}")
+
+
+def parse_assertion(el: XmlElement) -> Union[PAssertion, GroupAssertion]:
+    """Reconstruct any stored assertion: a group assertion or a p-assertion."""
+    if el.name == "group-assertion":
+        return GroupAssertion.from_xml(el)
+    return parse_passertion(el)

@@ -26,7 +26,7 @@ from repro.core.passertion import (
     InteractionPAssertion,
     PAssertion,
     ViewKind,
-    parse_passertion,
+    parse_assertion,
 )
 from repro.soa.xmldoc import XmlElement
 
@@ -53,9 +53,7 @@ class PrepRecord:
         inner = next(el.iter_elements(), None)
         if inner is None:
             raise ValueError("<prep-record> is empty")
-        if inner.name == "group-assertion":
-            return cls(assertion=GroupAssertion.from_xml(inner))
-        return cls(assertion=parse_passertion(inner))
+        return cls(assertion=parse_assertion(inner))
 
 
 @dataclass(frozen=True)

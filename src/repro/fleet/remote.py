@@ -113,15 +113,25 @@ class RemoteStore(ProvenanceQueryClient):
     def scan_suffix(
         self, after: int = 0, limit: int = 1024
     ) -> List[Tuple[int, str]]:
-        """The worker log's suffix past ``after``, as serialized text.
+        """Up to ``limit`` ``(sequence, assertion_xml)`` records of the
+        worker's log with sequence >= ``after``, in global insertion order.
 
         Completes :class:`~repro.store.interface.ResyncCapable` for the
-        proxy, so a RemoteStore can itself seed a peer's resync.  One
-        ``replicate pull`` round trip (the worker caps the page at its
-        own limit; pass a smaller ``limit`` to page manually).
+        proxy, so a RemoteStore can itself seed a migration or a peer's
+        resync.  One ``replicate pull`` round trip.
         """
-        entries, _next, _done = self.replicate_pull(after=after, limit=limit)
-        return [(seq, el.serialize()) for seq, el in entries]
+        page = self._replicate(
+            XmlElement(
+                "replicate",
+                {"mode": "pull", "after": str(after), "limit": str(limit)},
+            )
+        )
+        entries: List[Tuple[int, str]] = []
+        for entry in page.find_all("entry"):
+            inner = next(entry.iter_elements(), None)
+            if inner is not None:
+                entries.append((int(entry.attrs["seq"]), inner.serialize()))
+        return entries
 
     def checkpoint(self) -> str:
         """Snapshot the worker's index now; returns the snapshot path."""
@@ -138,31 +148,6 @@ class RemoteStore(ProvenanceQueryClient):
             target=self._endpoint,
             operation="replicate",
             payload=payload,
-        )
-
-    def replicate_pull(
-        self, after: int = 0, limit: int = 256
-    ) -> Tuple[List[Tuple[int, XmlElement]], int, bool]:
-        """One page of this worker's log past cursor ``after``.
-
-        Returns ``(entries, next_cursor, done)`` where each entry is
-        ``(sequence, assertion_element)`` in global insertion order.
-        """
-        page = self._replicate(
-            XmlElement(
-                "replicate",
-                {"mode": "pull", "after": str(after), "limit": str(limit)},
-            )
-        )
-        entries: List[Tuple[int, XmlElement]] = []
-        for entry in page.find_all("entry"):
-            inner = next(entry.iter_elements(), None)
-            if inner is not None:
-                entries.append((int(entry.attrs["seq"]), inner))
-        return (
-            entries,
-            int(page.attrs["next"]),
-            page.attrs.get("done") == "true",
         )
 
     def replicate_push(

@@ -13,9 +13,10 @@ ladder:
    backoff between attempts; a worker that keeps dying on arrival hits
    the **flap cap** and is quarantined with a loud status entry instead
    of being restarted forever;
-3. **resync** — stream the suffix the worker missed from its live peers
-   (``replicate`` pull/push over sequence-number watermarks recorded
-   while everyone was healthy), filtered to the assertions that actually
+3. **resync** — the migration engine's stream
+   (:func:`~repro.store.migration.migrate_keys`) from each live peer,
+   starting at the sequence-number watermark recorded for that peer
+   while everyone was healthy, filtered to the assertions that actually
    belong on the rejoined member (its replica sets; broadcast groups
    always), duplicate-skipping so overlap is free;
 4. **restore** — ``router.mark_restored`` (the member serves again, as
@@ -49,9 +50,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.passertion import InteractionKey
 from repro.fleet.manager import FleetError, ProcessFleet
 from repro.fleet.remote import RemoteStore
-from repro.fleet.worker import _assertion_from_el
 from repro.soa.envelope import Fault
 from repro.store.distributed import StoreRouter
+from repro.store.migration import migrate_keys
 from repro.store.placement import PlacementSpec
 
 #: default ceiling on one restart's health wait (a flapping worker exits
@@ -368,39 +369,28 @@ class FleetSupervisor:
     def _resync(self, name: str) -> int:
         """Stream the missed suffix from live peers into ``name``.
 
-        Pulls each live peer's log past the frozen cursor, keeps the
-        entries that belong on ``name`` (its replica sets; broadcast
-        groups always), and pushes them in pages.  Duplicates are skipped
-        server-side, so replaying an overlap or a crashed resync is free.
+        One :func:`~repro.store.migration.migrate_keys` stream per live
+        peer, from its frozen cursor: the records that belong on ``name``
+        (its replica sets; broadcast groups always), pushed in pages.
+        Duplicates are skipped on the target, so replaying an overlap or
+        a crashed resync is free.  Returns the records applied.
         """
         with self._lock:
             cursors = dict(self._cursors.get(name, {}))
         target = self._remote(name)
         pushed = 0
         for peer in self.fleet.worker_names:
-            if peer == name:
+            if peer == name or not self.fleet.handle(peer).alive:
                 continue
-            if not self.fleet.handle(peer).alive:
-                continue
-            source = self._remote(peer)
-            after = cursors.get(peer, 0)
-            while True:
-                entries, after, done = source.replicate_pull(
-                    after=after, limit=self.resync_page
-                )
-                batch = []
-                for _seq, element in entries:
-                    if element.name == "group-assertion":
-                        batch.append(element)
-                        continue
-                    assertion = _assertion_from_el(element)
-                    if self._member_of(name, assertion.interaction_key):
-                        batch.append(element)
-                if batch:
-                    applied, _skipped = target.replicate_push(batch)
-                    pushed += applied
-                if done:
-                    break
+            applied, _skipped, _cursor = migrate_keys(
+                self._remote(peer),
+                target,
+                predicate=lambda key: self._member_of(name, key),
+                include_groups=True,
+                page=self.resync_page,
+                after=cursors.get(peer, 0),
+            )
+            pushed += applied
         return pushed
 
 

@@ -30,12 +30,13 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.passertion import GroupAssertion, parse_passertion
+from repro.core.passertion import parse_assertion
 from repro.fleet.faults import FaultPlan, FaultRule, attach_fault_points
 from repro.soa.envelope import Fault
 from repro.soa.transport import Address, EnvelopeServer
 from repro.soa.xmldoc import XmlElement, parse_xml
-from repro.store.interface import DuplicateAssertionError, ResyncCapable
+from repro.store.interface import ResyncCapable
+from repro.store.migration import put_skipping_duplicates
 from repro.store.service import PReServActor
 
 
@@ -89,13 +90,6 @@ def encode_generation_token(token: object) -> str:
     if isinstance(token, tuple):
         return ":".join(str(part) for part in token)
     return f"g:{token}"
-
-
-def _assertion_from_el(el: XmlElement):
-    """Decode one wire-form assertion element (group or p-assertion)."""
-    if el.name == "group-assertion":
-        return GroupAssertion.from_xml(el)
-    return parse_passertion(el)
 
 
 class FleetWorkerActor(PReServActor):
@@ -190,32 +184,18 @@ class FleetWorkerActor(PReServActor):
                 )
             after = int(payload.attrs.get("after", "0"))
             limit = int(payload.attrs.get("limit", "256"))
-            entries = self.backend.scan_suffix(after=after, limit=limit + 1)
-            done = len(entries) <= limit
-            entries = entries[:limit]
-            page = XmlElement(
-                "replica-page",
-                {
-                    "count": str(len(entries)),
-                    "next": str(entries[-1][0] + 1 if entries else after),
-                    "done": "true" if done else "false",
-                },
-            )
+            entries = self.backend.scan_suffix(after=after, limit=limit)
+            page = XmlElement("replica-page", {"count": str(len(entries))})
             for seq, text in entries:
                 page.element("entry", seq=str(seq)).add(parse_xml(text))
             return page
         if mode == "push":
-            applied = skipped = 0
-            for entry in payload.find_all("entry"):
-                inner = next(entry.iter_elements(), None)
-                if inner is None:
-                    continue
-                assertion = _assertion_from_el(inner)
-                try:
-                    self.backend.put(assertion)
-                    applied += 1
-                except DuplicateAssertionError:
-                    skipped += 1
+            assertions = [
+                parse_assertion(inner)
+                for entry in payload.find_all("entry")
+                for inner in entry.iter_elements()
+            ]
+            applied, skipped = put_skipping_duplicates(self.backend, assertions)
             return XmlElement(
                 "replica-ack",
                 {"applied": str(applied), "skipped": str(skipped)},

@@ -50,9 +50,9 @@ import time
 import zlib
 from bisect import bisect_left
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.passertion import GroupAssertion, parse_passertion
+from repro.core.passertion import GroupAssertion, parse_assertion
 from repro.core.prep import PrepRecord
 from repro.soa.xmldoc import XmlElement, parse_xml
 from repro.store.checkpoint import (
@@ -80,16 +80,6 @@ def _assertion_to_text(assertion: Assertion) -> str:
     return assertion.to_xml().serialize()
 
 
-def _assertion_from_el(el: XmlElement) -> Assertion:
-    if el.name == "group-assertion":
-        return GroupAssertion.from_xml(el)
-    return parse_passertion(el)
-
-
-def _assertion_from_text(text: str) -> Assertion:
-    return _assertion_from_el(parse_xml(text))
-
-
 class MemoryBackend(ProvenanceStoreInterface):
     """Volatile backend: the index *is* the store."""
 
@@ -98,14 +88,17 @@ class MemoryBackend(ProvenanceStoreInterface):
 
 
 class _CheckpointedStore(ProvenanceStoreInterface):
-    """Shared checkpoint + resync machinery of the persistent backends.
+    """Shared reopen, checkpoint and resync machinery of the persistent
+    backends.
 
-    Concrete subclasses call :meth:`_init_checkpoints` before their
-    replay, replay via snapshot-then-tail (loading the ladder with
-    :func:`~repro.store.checkpoint.load_index_checkpoint`, reporting the
-    tail through :meth:`_note_recovery`), record every persisted record
-    with :meth:`_append_entry`, and implement two hooks:
+    Concrete subclasses call :meth:`_init_checkpoints` and then
+    :meth:`_replay`, which does the whole snapshot-then-tail reopen;
+    they record every persisted record with :meth:`_append_entry` and
+    implement three hooks:
 
+    * ``_replay_tail(watermark)`` — yield ``(sequence, assertion)`` for
+      every stored record at or past ``watermark``, in insertion order
+      (the log records a reopen must re-index);
     * ``_truncate_below(watermark) -> int`` — drop log history with
       sequence below ``watermark``, returning bytes reclaimed;
     * ``_tail_bytes() -> int`` — the on-disk bytes a reopen would have to
@@ -164,15 +157,39 @@ class _CheckpointedStore(ProvenanceStoreInterface):
     def _append_entry(self, seq: int, assertion: Assertion) -> None:
         self._entries.append((seq, assertion))
 
-    def _note_recovery(
-        self, watermark: int, tail: int, snapshot_records: int, started: float
-    ) -> None:
+    def _replay(self) -> None:
+        """Rebuild the index on open: newest valid checkpoint, then the tail.
+
+        The checkpoint ladder (newest valid snapshot, then older ones, then
+        none — see :func:`~repro.store.checkpoint.load_index_checkpoint`)
+        seeds the index, the entry stream and the sequence counter; every
+        record :meth:`_replay_tail` yields past the snapshot's watermark is
+        then indexed as it streams past, so open-time memory is bounded by
+        the index, not by the log.  Fills :attr:`checkpoint_stats`.
+        """
+        started = time.perf_counter()
+        watermark = 0
+        restored = 0
+        loaded = load_index_checkpoint(self._ckpt_dir)
+        if loaded is not None:
+            watermark, self._entries, self._index = loaded
+            self._seq = watermark
+            restored = len(self._entries)
+        tail = 0
+        for seq, assertion in self._replay_tail(watermark):
+            self._index.add(assertion)
+            self._entries.append((seq, assertion))
+            self._seq = max(self._seq, seq + 1)
+            tail += 1
         stats = self.checkpoint_stats
         stats.recovery_mode = "snapshot+tail" if watermark > 0 else "full-replay"
         stats.last_watermark = watermark
         stats.tail_records = tail
-        stats.snapshot_records = snapshot_records
+        stats.snapshot_records = restored
         stats.open_s = time.perf_counter() - started
+
+    def _replay_tail(self, watermark: int) -> Iterator[Tuple[int, Assertion]]:
+        raise NotImplementedError  # pragma: no cover - subclass hook
 
     # -- resync surface (the ResyncCapable protocol) --------------------------
     def sequence_watermark(self) -> int:
@@ -366,70 +383,48 @@ class FileSystemBackend(_CheckpointedStore):
         if swept and self._sync:
             fsync_dir(self.root)
 
-    def _replay(self) -> None:
-        # Incremental: the stream yields one assertion at a time and never
-        # holds more than a single parsed segment document, so open-time
-        # memory is bounded by the largest segment plus the index — not by
-        # the store's total size.  Snapshot-then-tail: the newest valid
-        # checkpoint seeds the index and the entry stream, and replay then
-        # parses only files past its watermark (falling down the ladder —
-        # older snapshot, then full replay — if every snapshot is
-        # unusable).
-        started = time.perf_counter()
-        watermark = 0
-        restored = 0
-        loaded = load_index_checkpoint(self._ckpt_dir)
-        if loaded is not None:
-            watermark, entries, index = loaded
-            self._index = index
-            self._entries = entries
-            self._seq = watermark
-            restored = len(entries)
-        tail = 0
-        for seq, assertion in self._replay_stream(skip_below=watermark):
-            self._index.add(assertion)
-            self._entries.append((seq, assertion))
-            tail += 1
-        self._note_recovery(watermark, tail, restored, started)
+    def _store_files(self) -> List[Tuple[int, Optional[int], Path]]:
+        """Every store file as ``(start, next_start, path)``, in sequence
+        order.
 
-    def _replay_stream(self, skip_below: int = 0):
-        """Yield ``(sequence, assertion)`` in insertion order, one at a time.
-
-        Owns all of replay's on-disk bookkeeping as it streams: sequence
-        tracking, the single-put fold accounting, fold-crash dedupe, and
-        the final debris sweep (run when the stream completes).
-
-        ``skip_below`` is the snapshot watermark: a file whose whole
-        sequence range sits below it holds only snapshot-covered history,
-        so it is skipped *without being read or parsed* (its range is
-        known from the next file's start sequence — files are contiguous
-        in sequence space) — that unparsed skip is where snapshot-then-tail
-        recovery's time goes from O(history) to O(tail).  Covered files
-        are NOT deleted here: only :meth:`checkpoint`'s truncation drops
-        files, and only below the oldest *retained* snapshot's watermark.
+        Files are contiguous in sequence space, so a file's range ends
+        where the next one starts; ``next_start`` is None for the last
+        file (its end is known only from its contents — or, once the
+        store is open, from ``self._seq``).  Stray files (editor
+        leftovers, crash debris with non-numeric stems) are not ours to
+        interpret and are left out.
         """
-        # Stray files (editor leftovers, crash debris with non-numeric
-        # stems) are not ours to interpret: skip them instead of raising.
-        segments: List[Tuple[int, Path]] = []
+        files: List[Tuple[int, Path]] = []
         for path in self.root.glob("*.xml"):
             try:
-                segments.append((int(path.stem), path))
+                files.append((int(path.stem), path))
             except ValueError:
                 continue
-        segments.sort()
+        files.sort()
+        ends: List[Optional[int]] = [start for start, _path in files[1:]]
+        ends.append(None)
+        return [(start, end, path) for (start, path), end in zip(files, ends)]
+
+    def _replay_tail(self, watermark: int) -> Iterator[Tuple[int, Assertion]]:
+        """Yield ``(sequence, assertion)`` in insertion order, one at a time.
+
+        Incremental: never holds more than a single parsed segment
+        document.  Owns all of replay's on-disk bookkeeping as it streams:
+        sequence tracking, the single-put fold accounting, fold-crash
+        dedupe, and the final debris sweep (run when the stream completes).
+
+        A file whose whole sequence range sits below the snapshot
+        ``watermark`` holds only snapshot-covered history, so it is
+        skipped *without being read or parsed* — that unparsed skip is
+        where snapshot-then-tail recovery's time goes from O(history) to
+        O(tail).  Covered files are NOT deleted here: only
+        :meth:`checkpoint`'s truncation drops files, and only below the
+        oldest *retained* snapshot's watermark.
+        """
         covered = 0  # sequences below this are already indexed
         debris: List[Path] = []
-        for position, (start_seq, path) in enumerate(segments):
-            next_start = (
-                segments[position + 1][0]
-                if position + 1 < len(segments)
-                else None
-            )
-            if (
-                skip_below
-                and next_start is not None
-                and next_start <= skip_below
-            ):
+        for start_seq, next_start, path in self._store_files():
+            if next_start is not None and next_start <= watermark:
                 # Whole file below the watermark: snapshot-covered history
                 # awaiting truncation.  Skip it unparsed; the bookkeeping
                 # still advances so the sequence counter can never fall
@@ -440,7 +435,7 @@ class FileSystemBackend(_CheckpointedStore):
             try:
                 el = parse_xml(path.read_text(encoding="utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
-                if position == len(segments) - 1:
+                if next_start is None:
                     # A torn/empty trailing segment is the footprint of a
                     # crash mid-write before the rename was durable; the
                     # segment was never acknowledged, so drop it (exactly
@@ -477,13 +472,13 @@ class FileSystemBackend(_CheckpointedStore):
             covered = start_seq + count
             self._seq = max(self._seq, covered)
             if members is None:
-                if start_seq >= skip_below:
+                if start_seq >= watermark:
                     self._singles.append((start_seq, path))
-                    yield start_seq, _assertion_from_el(el)
+                    yield start_seq, parse_assertion(el)
             else:
                 for offset, child in enumerate(members):
-                    if start_seq + offset >= skip_below:
-                        yield start_seq + offset, _assertion_from_el(child)
+                    if start_seq + offset >= watermark:
+                        yield start_seq + offset, parse_assertion(child)
         for path in debris:
             path.unlink(missing_ok=True)
         if debris and self._sync:
@@ -637,23 +632,12 @@ class FileSystemBackend(_CheckpointedStore):
         the next checkpoint finishes the job).
         """
         with self._state_lock:
-            files: List[Tuple[int, Path]] = []
-            for path in self.root.glob("*.xml"):
-                try:
-                    files.append((int(path.stem), path))
-                except ValueError:
-                    continue
-            files.sort()
             reclaimed = 0
-            doomed: List[Path] = []
-            for position, (start_seq, path) in enumerate(files):
-                end = (
-                    files[position + 1][0]
-                    if position + 1 < len(files)
-                    else self._seq
-                )
-                if end <= watermark:
-                    doomed.append(path)
+            doomed = [
+                path
+                for _start, end, path in self._store_files()
+                if (self._seq if end is None else end) <= watermark
+            ]
             dropped_names = {path.name for path in doomed}
             for path in doomed:
                 try:
@@ -676,20 +660,8 @@ class FileSystemBackend(_CheckpointedStore):
         snapshot's watermark (all files, when no snapshot exists)."""
         watermark = self.checkpoint_stats.last_watermark
         total = 0
-        files: List[Tuple[int, Path]] = []
-        for path in self.root.glob("*.xml"):
-            try:
-                files.append((int(path.stem), path))
-            except ValueError:
-                continue
-        files.sort()
-        for position, (start_seq, path) in enumerate(files):
-            end = (
-                files[position + 1][0]
-                if position + 1 < len(files)
-                else self._seq
-            )
-            if end <= watermark:
+        for _start, end, path in self._store_files():
+            if (self._seq if end is None else end) <= watermark:
                 continue
             try:
                 total += path.stat().st_size
@@ -785,51 +757,6 @@ class KVLogBackend(_CheckpointedStore):
             path, sync, checkpoint_codec, checkpoint_retain, checkpoint_bytes
         )
         self._replay()
-        # Index generation already persisted: lets the persist hooks tell
-        # an effective write from an idempotent group re-assertion (which
-        # appends a record but must keep scoped cached results warm).
-        self._gen_watermark = self._index.generation
-
-    def _replay(self) -> None:
-        # One sequential pass (the sharded log's streaming k-way merge
-        # stitches its shards back into global insertion order while
-        # holding at most one pending record per shard); each record is
-        # decoded and indexed as it streams past, so replay memory is
-        # bounded by the index, not by a materialized copy of the log.
-        # The key's trailing field is the sequence number whichever
-        # layout wrote it.
-        #
-        # Snapshot-then-tail: with a valid checkpoint, only records past
-        # its watermark are decoded — the sharded layout filters inside
-        # each shard's stream before the k-way merge (scan(min_seq=...),
-        # the per-shard start cursor), the single-log layout skips on the
-        # key's sequence field before the XML parse.  Prefix truncation
-        # makes the skip physical: a truncated log simply holds no
-        # covered records to skip.
-        started = time.perf_counter()
-        watermark = 0
-        restored = 0
-        loaded = load_index_checkpoint(self._ckpt_dir)
-        if loaded is not None:
-            watermark, entries, index = loaded
-            self._index = index
-            self._entries = entries
-            self._seq = watermark
-            restored = len(entries)
-        tail = 0
-        if isinstance(self._log, ShardedKVLog):
-            stream = self._log.scan(min_seq=watermark)
-        else:
-            stream = self._log.scan()
-        for key, value in stream:
-            seq = int(key.rsplit(b"|", 1)[-1].decode("ascii"))
-            if seq < watermark:
-                continue  # single-log: covered prefix not yet truncated
-            assertion = _assertion_from_text(value.decode("utf-8"))
-            self._index.add(assertion)
-            self._entries.append((seq, assertion))
-            self._seq = max(self._seq, seq + 1)
-            tail += 1
         if isinstance(self._log, ShardedKVLog):
             # Pin the sequence floor: after truncation the shard files may
             # be empty, and lazy watermark resolution would otherwise
@@ -839,10 +766,37 @@ class KVLogBackend(_CheckpointedStore):
         # whole log is snapshot-covered; any replayed tail (or a full
         # replay) leaves the baseline at 0 — pressure reads high and the
         # next policy checkpoint re-establishes it.
+        stats = self.checkpoint_stats
         self._covered_log_bytes = (
-            self._log.file_size() if (watermark > 0 and tail == 0) else 0
+            self._log.file_size()
+            if (stats.last_watermark > 0 and stats.tail_records == 0)
+            else 0
         )
-        self._note_recovery(watermark, tail, restored, started)
+        # Index generation already persisted: lets the persist hooks tell
+        # an effective write from an idempotent group re-assertion (which
+        # appends a record but must keep scoped cached results warm).
+        self._gen_watermark = self._index.generation
+
+    def _replay_tail(self, watermark: int) -> Iterator[Tuple[int, Assertion]]:
+        # One sequential pass (the sharded log's streaming k-way merge
+        # stitches its shards back into global insertion order while
+        # holding at most one pending record per shard).  The key's
+        # trailing field is the sequence number whichever layout wrote it.
+        #
+        # Only records past the snapshot watermark are decoded — the
+        # sharded layout filters inside each shard's stream before the
+        # k-way merge (scan(min_seq=...), the per-shard start cursor), the
+        # single-log layout skips on the key's sequence field before the
+        # XML parse.  Prefix truncation makes the skip physical: a
+        # truncated log simply holds no covered records to skip.
+        if isinstance(self._log, ShardedKVLog):
+            stream = self._log.scan(min_seq=watermark)
+        else:
+            stream = self._log.scan()
+        for key, value in stream:
+            seq = int(key.rsplit(b"|", 1)[-1].decode("ascii"))
+            if seq >= watermark:  # single-log: covered prefix not yet truncated
+                yield seq, parse_assertion(parse_xml(value.decode("utf-8")))
 
     def _key_for(self, assertion: Assertion) -> Tuple[bytes, Optional[int]]:
         """The next record key and, when sharded, its owning shard index."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.passertion import GroupAssertion, InteractionKey, parse_passertion
+from repro.core.passertion import GroupAssertion, InteractionKey, parse_assertion
 from repro.soa.xmldoc import XmlElement, parse_xml
 from repro.store.interface import Assertion, ProvenanceStoreInterface
 
@@ -135,10 +135,7 @@ def import_archive(
     """Load an archive into ``target``; returns the assertion count."""
     _, items = _load_archive(path)
     for el in items:
-        if el.name == "group-assertion":
-            target.put(GroupAssertion.from_xml(el))
-        else:
-            target.put(parse_passertion(el))
+        target.put(parse_assertion(el))
     return len(items)
 
 

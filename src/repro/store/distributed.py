@@ -47,12 +47,17 @@ from repro.core.passertion import (
 from repro.soa.envelope import Fault
 from repro.store.fanout import DEFAULT_FANOUT_WORKERS, FanoutExecutor
 from repro.store.interface import (
-    DuplicateAssertionError,
     ProvenanceStoreInterface,
     StoreCounts,
     interaction_scope,
 )
-from repro.store.migration import MigrationReport, consolidate_into, rebalance
+from repro.store.migration import (
+    MigrationReport,
+    _is_duplicate,
+    consolidate_into,
+    put_skipping_duplicates,
+    rebalance,
+)
 from repro.store.placement import (
     PLACEMENT_FILE,
     PlacementMap,
@@ -70,13 +75,6 @@ def _is_unavailable(exc: BaseException) -> bool:
     if isinstance(exc, Fault):
         return exc.code == "worker-unavailable"
     return isinstance(exc, (ConnectionError, OSError))
-
-
-def _is_duplicate(exc: BaseException) -> bool:
-    """Duplicate rejection, local or over the wire."""
-    if isinstance(exc, DuplicateAssertionError):
-        return True
-    return isinstance(exc, Fault) and exc.code == "duplicate-assertion"
 
 
 def _journal_key(assertion: Assertion) -> tuple:
@@ -532,12 +530,7 @@ class StoreRouter:
         except BaseException as exc:
             if not (converge and _is_duplicate(exc)):
                 raise
-            for assertion in share:
-                try:
-                    store.put(assertion)
-                except BaseException as inner:
-                    if not _is_duplicate(inner):
-                        raise
+            put_skipping_duplicates(store, share)
 
     def put(self, assertion: Assertion) -> str:
         """Route one assertion — a batch of one (see :meth:`put_many`);

@@ -11,12 +11,14 @@ rebalance drills:
    (dual-commit), so whatever happens next — cutover or rollback — no
    acked write can be lost.
 2. **stream** — each moving key's records are streamed from its current
-   owner to the members that gain it, in pages, over the same
-   ``scan_suffix``/``replicate push`` surface the supervisor's resync
-   uses (so it works identically against in-process backends and
-   socket-served workers).  Pushes skip duplicates, which is what makes a
-   crashed or repeated migration *resumable*: re-running it re-streams
-   cheaply and converges.
+   owner to the members that gain it, in pages, over the
+   ``scan_suffix``/``replicate push`` surface (so it works identically
+   against in-process backends and socket-served workers).  The
+   supervisor's rejoin resync is this same stream: it runs
+   :func:`migrate_keys` from each live peer.  Pushes skip duplicates
+   (:func:`put_skipping_duplicates`), which is what makes a crashed or
+   repeated migration *resumable*: re-running it re-streams cheaply and
+   converges.
 3. **tail-drain** — the stream's suffix is re-pulled until a quiet round
    (bounded by :data:`MAX_TAIL_ROUNDS`; correctness never depends on the
    drain, because every post-begin write was dual-committed — the drain
@@ -45,7 +47,7 @@ from repro.core.passertion import (
     GroupAssertion,
     InteractionKey,
     PAssertion,
-    parse_passertion,
+    parse_assertion,
 )
 from repro.soa.envelope import Fault
 from repro.soa.xmldoc import XmlElement, parse_xml
@@ -99,16 +101,33 @@ class MigrationReport:
 
 
 def _is_duplicate(exc: BaseException) -> bool:
+    """Duplicate rejection, local or over the wire."""
     if isinstance(exc, DuplicateAssertionError):
         return True
     return isinstance(exc, Fault) and exc.code == "duplicate-assertion"
 
 
-def _assertion_from_text(text: str) -> Assertion:
-    el = parse_xml(text)
-    if el.name == "group-assertion":
-        return GroupAssertion.from_xml(el)
-    return parse_passertion(el)
+def put_skipping_duplicates(
+    dest: object, assertions: Iterable[Assertion]
+) -> Tuple[int, int]:
+    """Put ``assertions`` on ``dest`` one at a time, skipping the ones it
+    already holds; returns ``(applied, skipped)``.
+
+    The idempotent apply behind every record copy between stores — a
+    migration or resync push, and a retried replica share — so a
+    repeated or crashed copy converges instead of failing.
+    """
+    applied = skipped = 0
+    for assertion in assertions:
+        try:
+            dest.put(assertion)  # type: ignore[attr-defined]
+        except BaseException as exc:
+            if not _is_duplicate(exc):
+                raise
+            skipped += 1
+        else:
+            applied += 1
+    return applied, skipped
 
 
 def _scan_page(source: object, after: int, limit: int) -> List[Tuple[int, str]]:
@@ -149,17 +168,7 @@ def _push(dest: object, batch: List[Tuple[Assertion, str]]) -> Tuple[int, int]:
     push = getattr(dest, "replicate_push", None)
     if push is not None:
         return push([parse_xml(text) for _assertion, text in batch])
-    applied = skipped = 0
-    for assertion, _text in batch:
-        try:
-            dest.put(assertion)  # type: ignore[attr-defined]
-        except BaseException as exc:
-            if _is_duplicate(exc):
-                skipped += 1
-                continue
-            raise
-        applied += 1
-    return applied, skipped
+    return put_skipping_duplicates(dest, [assertion for assertion, _ in batch])
 
 
 def iter_assertions(
@@ -183,7 +192,7 @@ def iter_assertions(
             return
         for seq, text in entries:
             cursor = max(cursor, seq + 1)
-            yield _assertion_from_text(text), text
+            yield parse_assertion(parse_xml(text)), text
 
 
 def migrate_keys(
@@ -202,22 +211,25 @@ def migrate_keys(
     every p-assertion, further filtered by ``predicate`` when given);
     ``include_groups`` additionally streams broadcast group assertions.
     Duplicates are skipped on the destination, so re-running a crashed
-    call is free.  Returns ``(applied, skipped, cursor)`` — pass the
-    cursor back as ``after`` to drain only the suffix written since.
+    call is free.  One call streams up to the source's watermark when it
+    starts, so a writer racing the stream cannot keep it going.  Returns
+    ``(applied, skipped, cursor)`` — pass the cursor back as ``after``
+    to drain only the suffix written since.
     """
     scopes = (
         {interaction_scope(key) for key in keys} if keys is not None else None
     )
     applied = skipped = 0
     cursor = after
-    while True:
+    limit_seq = _watermark(source)
+    while cursor <= limit_seq:
         entries = _scan_page(source, cursor, page)
         if not entries:
-            return applied, skipped, cursor
+            break
         batch: List[Tuple[Assertion, str]] = []
         for seq, text in entries:
             cursor = max(cursor, seq + 1)
-            assertion = _assertion_from_text(text)
+            assertion = parse_assertion(parse_xml(text))
             if isinstance(assertion, GroupAssertion):
                 if include_groups:
                     batch.append((assertion, text))
@@ -232,6 +244,7 @@ def migrate_keys(
             done, skip = _push(dest, batch)
             applied += done
             skipped += skip
+    return applied, skipped, cursor
 
 
 def _stream_from_source(
@@ -266,7 +279,7 @@ def _stream_from_source(
         batches: Dict[str, List[Tuple[Assertion, str]]] = {}
         for seq, text in entries:
             cursor = max(cursor, seq + 1)
-            assertion = _assertion_from_text(text)
+            assertion = parse_assertion(parse_xml(text))
             if isinstance(assertion, GroupAssertion):
                 if include_groups:
                     for dest in new_members:
@@ -462,5 +475,6 @@ __all__ = [
     "consolidate_into",
     "iter_assertions",
     "migrate_keys",
+    "put_skipping_duplicates",
     "rebalance",
 ]

@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import types
 
 import pytest
 
 from repro.fleet.faults import FAULT_EXIT_CODE, FaultRule
 from repro.fleet.manager import ProcessFleet
 from repro.fleet.supervisor import FleetSupervisor
+from repro.store.backends import KVLogBackend
 from repro.store.distributed import (
     FederatedQueryClient,
     PartialCommitError,
     sharded_store_fleet,
 )
 from repro.soa.envelope import Fault
+from repro.store.placement import PlacementSpec
 
-from tests.test_store_backends import ipa, key
+from tests.test_store_backends import ga, ipa, key
 
 
 def wait_until(predicate, timeout_s=60.0, interval_s=0.05, message="condition"):
@@ -306,3 +309,61 @@ class TestQuarantineDeferral:
         supervisor._not_before["store-00"] = 0.0  # backoff elapsed
         supervisor._try_restart("store-00")
         assert supervisor.quarantined == ["store-00"]
+
+
+class TestResyncStream:
+    """Rejoin resync is the migration stream from each live peer (no
+    processes: in-process stores stand in for the workers, and with no
+    router the supervisor places keys R=1 modulo over its worker names)."""
+
+    class _LiveFleet:
+        worker_names = ["store-00", "store-01", "store-02"]
+
+        def handle(self, name):
+            return types.SimpleNamespace(alive=True)
+
+    def test_resync_streams_the_targets_keys_past_the_cursor(self, tmp_path):
+        names = self._LiveFleet.worker_names
+        target = "store-00"
+        stores = {
+            name: KVLogBackend(tmp_path / f"{name}.kv", sync=False)
+            for name in names
+        }
+        supervisor = FleetSupervisor(self._LiveFleet())
+        supervisor._remote = stores.__getitem__
+        spec = PlacementSpec(members=tuple(names))
+
+        def owned(i):
+            return spec.replica_set(key(i)) == [target]
+
+        try:
+            early, late = range(0, 12), range(12, 48)
+            for i in early:
+                stores["store-01"].put(ipa(i))
+            supervisor._cursors[target] = {
+                "store-01": stores["store-01"].sequence_watermark(),
+                "store-02": 0,
+            }
+            for i in late:
+                stores["store-01" if i % 2 else "store-02"].put(ipa(i))
+            stores["store-02"].put(ga(13))
+            assert any(owned(i) for i in early)
+            assert any(owned(i) for i in late)
+            assert not all(owned(i) for i in late)
+
+            pushed = supervisor._resync(target)
+
+            expected = {ipa(i).to_xml().serialize() for i in late if owned(i)}
+            expected.add(ga(13).to_xml().serialize())
+            held = [a.to_xml().serialize() for a in stores[target].all_assertions()]
+            assert sorted(held) == sorted(expected)
+            assert pushed == len(expected)
+            # Nothing new the second time: every p-assertion is skipped as a
+            # duplicate; the broadcast group is re-asserted, which a store
+            # takes as a no-op.
+            counts = stores[target].counts()
+            assert supervisor._resync(target) == 1
+            assert stores[target].counts() == counts
+        finally:
+            for store in stores.values():
+                store.close()

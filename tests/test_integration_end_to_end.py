@@ -187,6 +187,46 @@ class TestDistributedProvenanceWithRealRuns:
         finally:
             reopened.close()
 
+    def test_process_fleet_answers_group_queries(
+        self, small_db, tmp_path, monkeypatch
+    ):
+        """A kvlog fleet of worker processes answers the group queries
+        (which need every member's ``group_kinds``) exactly as the same
+        fleet does in-process."""
+        import itertools
+
+        from repro.app import experiment, workflow
+
+        def group_view(transport):
+            # Fresh id counters: both runs assign the same session and
+            # message ids, so their answers compare directly.
+            monkeypatch.setattr(experiment, "_session_counter", itertools.count(1))
+            monkeypatch.setattr(workflow, "_run_counter", itertools.count(1))
+            exp = Experiment(
+                ExperimentConfig(
+                    sample_bytes=600,
+                    n_permutations=1,
+                    store_backend="kvlog",
+                    store_path=tmp_path / transport,
+                    store_members=2,
+                    store_transport=transport,
+                ),
+                db=small_db,
+            )
+            try:
+                exp.run()
+                client = ProvenanceQueryClient(exp.bus)
+                keys = client.interaction_keys()
+                return client.group_ids(), {k: client.groups_of(k) for k in keys}
+            finally:
+                exp.close()
+
+        process_ids, process_groups = group_view("process")
+        inprocess_ids, inprocess_groups = group_view("inprocess")
+        assert process_ids and all(process_groups.values())
+        assert process_ids == inprocess_ids
+        assert process_groups == inprocess_groups
+
     def test_archive_roundtrip_preserves_usecases(self, experiment_factory, tmp_path):
         """Curated provenance still answers UC1 and UC2 after restore."""
         exp = experiment_factory(n_permutations=1, release=1)

@@ -28,7 +28,7 @@ from repro.core.passertion import (
     ViewKind,
 )
 from repro.soa.xmldoc import XmlElement
-from repro.store.backends import MemoryBackend
+from repro.store.backends import KVLogBackend, MemoryBackend
 from repro.store.distributed import (
     FederatedQueryClient,
     FederatedStoreAdapter,
@@ -128,6 +128,31 @@ class TestMigrateKeys:
         applied, skipped, _ = migrate_keys(source, dest, after=cursor)
         assert applied == 3
         assert skipped == 0
+
+    def test_stream_stops_at_the_watermark_it_started_from(self, tmp_path):
+        """A writer racing the stream cannot keep one call going (here it
+        lands a record for every one-record page pulled); the returned
+        cursor drains the rest."""
+        source = KVLogBackend(tmp_path / "source.kv", sync=False)
+        dest = MemoryBackend()
+        for i in range(4):
+            source.put(ipa(i))
+        scan = source.scan_suffix
+        racing = iter(range(100, 200))
+
+        def scan_while_writing(after=0, limit=1024):
+            source.put(ipa(next(racing)))
+            return scan(after=after, limit=limit)
+
+        source.scan_suffix = scan_while_writing
+        try:
+            applied, skipped, cursor = migrate_keys(source, dest, page=1)
+            assert skipped == 0 and 4 <= applied <= 5
+            source.scan_suffix = scan
+            migrate_keys(source, dest, after=cursor)
+            assert dest.counts() == source.counts()
+        finally:
+            source.close()
 
     def test_groups_only_when_asked(self):
         source, dest = MemoryBackend(), MemoryBackend()

@@ -238,34 +238,8 @@ class TestRouterInvalidation:
         assert not v1.fresh(router.generation_vector())
 
 
-class TestClientSideCache:
-    def deployment(self):
-        bus = MessageBus()
-        backend = MemoryBackend()
-        actor = PReServActor(backend)
-        bus.register(actor)
-        client = ProvenanceQueryClient(
-            bus, generation_source=actor.store_generation
-        )
-        return bus, backend, client
-
-    def test_repeated_query_skips_bus(self):
-        _, backend, client = self.deployment()
-        fill(backend)
-        first = client.interaction_keys()
-        calls = client.calls
-        second = client.interaction_keys()
-        assert second == first
-        assert client.calls == calls and client.cache_hits == 1
-
-    def test_write_invalidates_client_cache(self):
-        _, backend, client = self.deployment()
-        fill(backend, n=2)
-        assert len(client.interaction_keys()) == 2
-        backend.put(ipa(9))
-        assert len(client.interaction_keys()) == 3
-
-    def test_without_generation_source_every_query_calls(self):
+class TestQueryClient:
+    def test_every_query_calls_the_store(self):
         bus = MessageBus()
         backend = MemoryBackend()
         fill(backend)
@@ -273,7 +247,7 @@ class TestClientSideCache:
         client = ProvenanceQueryClient(bus)
         client.counts()
         client.counts()
-        assert client.calls == 2 and client.cache_hits == 0
+        assert client.calls == 2
 
 
 # -- property test: interleaved writes and queries never serve stale --------
