@@ -12,8 +12,9 @@ Shape criteria:
 
 * sustained ingest with the background scheduler reaches at least 1.5x
   the stop-the-world manual ``compact()`` baseline (the scheduler only
-  rewrites pressured shards, two-phase, off the ingest clock; the manual
-  discipline stalls every client and rewrites the cold majority too);
+  rewrites the pressured logs, two-phase, off the ingest clock — no
+  cold-only log is ever compacted; the manual discipline stalls every
+  client and rewrites the cold majority too);
 * the scheduler holds the on-disk footprint bounded: the worst sampled
   footprint/live ratio stays <= 2 across the run, while the no-reclamation
   policy demonstrably exceeds it on the same workload (the bound binds);
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from repro.figures.compaction import (
     compaction_table,
+    log_name,
     run_compaction_sweep,
     run_fold_sweep,
 )
@@ -66,6 +68,8 @@ def test_bench_compaction_scheduler_vs_manual(benchmark, tmp_path, report):
     # must show the footprint bound is non-trivial on this workload.
     assert by_policy["scheduler"].compactions > 0
     assert by_policy["scheduler"].bytes_reclaimed > 0
+    hot = {log_name(c) for c in range(by_policy["scheduler"].clients)}
+    assert set(by_policy["scheduler"].per_store) <= hot
     assert by_policy["none"].final_footprint_ratio > FOOTPRINT_BAR
     assert any(
         speedup >= SPEEDUP_BAR and 0 < max_ratio <= FOOTPRINT_BAR

@@ -78,8 +78,6 @@ class ExperimentConfig:
     #: transport via a bus-registered proxy — every client keeps using the
     #: bus unchanged).
     store_transport: str = "inprocess"
-    #: KVLog shard count (>1 selects the sharded-log layout).
-    store_shards: int = 1
     #: attach a background compaction scheduler to the persistent backends
     #: (see :mod:`repro.store.maintenance`); stopped by :meth:`Experiment.close`.
     store_auto_compact: bool = False
@@ -135,7 +133,6 @@ def _make_backend(config: ExperimentConfig) -> ProvenanceStoreInterface:
     return make_backend(
         config.store_backend,
         config.store_path,
-        shards=config.store_shards,
         auto_compact=config.store_auto_compact,
     )
 
@@ -177,7 +174,6 @@ class Experiment:
             self.store_router = sharded_store_fleet(
                 self.config.store_path,
                 members=self.config.store_members,
-                shards=self.config.store_shards,
                 transport=self.config.store_transport,
                 auto_compact=self.config.store_auto_compact,
                 replicas=self.config.store_replicas,
@@ -227,7 +223,6 @@ class Experiment:
                     if self.config.store_path is not None
                     else None
                 ),
-                shards=self.config.store_shards,
                 auto_compact=self.config.store_auto_compact,
                 fault_rules=tuple(self.config.store_fault_rules),
             )

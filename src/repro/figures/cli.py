@@ -10,7 +10,6 @@ Subcommands::
     repro-figures backends     # A2 ablation
     repro-figures compress     # A3 ablation (the scientific table)
     repro-figures bulk         # A5 ablation: put vs put_many group commit
-    repro-figures shards       # A7: sharded KVLog concurrent-ingest sweep
     repro-figures compaction   # A8: background compaction vs stop-the-world
     repro-figures fleet        # A10: in-process bus vs process-fleet ingest
     repro-figures reopen       # A11: reopen cost vs history, ± checkpoints
@@ -61,7 +60,6 @@ from repro.figures.reopen import (
     run_reopen_sweep,
     write_reopen_json,
 )
-from repro.figures.shards import run_shard_sweep, shard_sweep_table
 from repro.figures.fig4 import fig4_table, run_fig4
 from repro.figures.fig4b import fig4b_table, run_fig4b
 from repro.figures.fig5 import fig5_table, run_fig5
@@ -120,28 +118,13 @@ def cmd_bulk(args: argparse.Namespace) -> str:
         )
 
 
-def cmd_shards(args: argparse.Namespace) -> str:
-    with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-        return shard_sweep_table(
-            run_shard_sweep(
-                Path(tmp),
-                shard_counts=tuple(args.shards),
-                clients=args.clients,
-                batches_per_client=args.batches,
-                records_per_batch=args.records_per_batch,
-                value_bytes=args.value_bytes,
-                repeats=args.repeats,
-            )
-        )
-
-
 def cmd_compaction(args: argparse.Namespace) -> str:
     with tempfile.TemporaryDirectory(prefix="repro-compaction-") as tmp:
         blocks = [
             compaction_table(
                 run_compaction_sweep(
                     Path(tmp),
-                    shards=args.shards,
+                    logs=args.logs,
                     clients=args.clients,
                     batches_per_client=args.batches,
                     records_per_batch=args.records_per_batch,
@@ -210,7 +193,6 @@ def cmd_reopen(args: argparse.Namespace) -> str:
         points = run_reopen_sweep(
             Path(tmp),
             backends=tuple(args.backends),
-            shard_counts=tuple(args.shards),
             history_sizes=tuple(args.history),
             repeats=args.repeats,
         )
@@ -271,21 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser(
-        "shards", help="A7: sharded KVLog — concurrent bulk ingest vs shard count"
-    )
-    p.add_argument("--shards", type=int, nargs="*", default=[1, 2, 4, 8])
-    p.add_argument("--clients", type=int, default=8)
-    p.add_argument("--batches", type=int, default=40)
-    p.add_argument("--records-per-batch", type=int, default=4)
-    p.add_argument("--value-bytes", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_shards)
-
-    p = sub.add_parser(
         "compaction",
         help="A8: background compaction — scheduler vs stop-the-world churn",
     )
-    p.add_argument("--shards", type=int, default=8)
+    p.add_argument(
+        "--logs",
+        type=int,
+        default=8,
+        help="separate KVLog files under churn (each hot client writes one)",
+    )
     p.add_argument("--clients", type=int, default=2)
     p.add_argument("--batches", type=int, default=96)
     p.add_argument("--records-per-batch", type=int, default=16)
@@ -320,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="A11: reopen cost vs ingest history, with/without checkpoints",
     )
     p.add_argument("--backends", nargs="*", default=["kvlog"])
-    p.add_argument("--shards", type=int, nargs="*", default=[1])
     p.add_argument("--history", type=int, nargs="*", default=[256, 512, 1024])
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument(
@@ -438,13 +413,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 (
                     _section("A5: bulk ingest — put vs put_many"),
                     bulk_ingest_table(run_bulk_ingest(Path(tmp))),
-                )
-            )
-        with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-            blocks.append(
-                (
-                    _section("A7: sharded KVLog ingest sweep"),
-                    shard_sweep_table(run_shard_sweep(Path(tmp))),
                 )
             )
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:

@@ -8,20 +8,25 @@ ingest for stop-the-world ``compact()`` calls.  This sweep measures the
 :mod:`repro.store.maintenance` answer on a workload shaped like a real
 provenance store: a large **cold** bulk (old interactions, never touched
 again) plus a small **hot** key set being overwritten by concurrent
-recording sessions.
+recording sessions.  The churn runs over ``logs`` separate
+:class:`~repro.store.kvlog.KVLog` files: hot client ``c`` writes log
+``c``, and the cold bulk is spread round-robin over all of them, so the
+pressure is skewed the way real recording is — a few hot logs, the rest
+cold.
 
-Three reclamation policies over the same churn, same shard count:
+Three reclamation policies over the same churn and the same logs:
 
 * ``none`` — ingest only; dead bytes accumulate forever (the footprint
   ratio column shows the unbounded growth);
-* ``manual`` — every N batches all clients stop and one calls the
-  whole-store ``compact()``: the pre-scheduler discipline.  Footprint is
-  bounded, but every sweep rewrites the cold majority too, and the stall
-  is on the ingest clock;
-* ``scheduler`` — a :class:`~repro.store.maintenance.CompactionScheduler`
-  polls per-shard dead-byte ratios in the background and compacts only
-  the worst shard per tick.  Cold shards are never rewritten, and the
-  two-phase :meth:`~repro.store.kvlog.KVLog.compact` keeps writers
+* ``manual`` — every N batches all clients stop and one compacts every
+  log: the pre-scheduler discipline.  Footprint is bounded, but every
+  sweep rewrites the cold majority too, and the stall is on the ingest
+  clock;
+* ``scheduler`` — one :class:`~repro.store.maintenance.CompactionScheduler`
+  with every log registered polls their dead-byte ratios in the
+  background and compacts only the worst log per tick.  Cold logs are
+  never rewritten (:attr:`CompactionSweepPoint.per_store` shows it), and
+  the two-phase :meth:`~repro.store.kvlog.KVLog.compact` keeps writers
   flowing during the rewrite.
 
 The interesting columns: sustained ``records/s`` (scheduler should beat
@@ -35,12 +40,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.figures.stats import format_table
-from repro.store.backends import scope_prefix
+from repro.store.kvlog import KVLog
 from repro.store.maintenance import CompactionScheduler
-from repro.store.sharding import ShardedKVLog, pipe_partition, shard_index
 
 POLICIES = ("none", "manual", "scheduler")
 
@@ -50,7 +54,7 @@ class CompactionSweepPoint:
     """One policy's run over the churn workload."""
 
     policy: str
-    shards: int
+    logs: int
     clients: int
     records: int
     elapsed_s: float
@@ -60,6 +64,10 @@ class CompactionSweepPoint:
     final_dead_bytes: int
     #: worst sampled footprint/live ratio while the run was in flight.
     max_footprint_ratio: float
+    #: the scheduler's per-log ``(compactions, bytes_reclaimed)``, keyed by
+    #: :func:`log_name` (empty for the other policies); a log it never
+    #: compacted has no entry.
+    per_store: Dict[str, Tuple[int, int]]
 
     @property
     def records_per_s(self) -> float:
@@ -71,39 +79,26 @@ class CompactionSweepPoint:
         return self.final_bytes / live if live > 0 else float("inf")
 
 
-def _hot_prefix(client: int, shards: int) -> bytes:
-    """A session prefix whose records land on shard ``client``.
-
-    Pins each simulated session to its own shard so the churn is skewed
-    the way real recording is: a few hot shards, the rest cold.
-    """
-    candidate = 0
-    while True:
-        prefix = scope_prefix(f"hot-session-{client}-{candidate}")
-        if shard_index(prefix, shards) == client:
-            return prefix
-        candidate += 1
+def log_name(index: int) -> str:
+    """The name log ``index`` is registered with the scheduler under."""
+    return f"log-{index:02d}"
 
 
-def _client_batches(
-    client: int,
-    shards: int,
+def _churn_batches(
     batches: int,
     records_per_batch: int,
     keyspace: int,
     value_bytes: int,
 ) -> List[List[Tuple[bytes, bytes]]]:
     """Pre-encoded churn batches: the same ``keyspace`` keys re-put forever."""
-    prefix = _hot_prefix(client, shards)
     out: List[List[Tuple[bytes, bytes]]] = []
     counter = 0
     for _ in range(batches):
         batch = []
         for _ in range(records_per_batch):
-            k = counter % keyspace
             batch.append(
                 (
-                    prefix + b"|key-%04d" % k,
+                    b"key-%04d" % (counter % keyspace),
                     b"v%06d" % counter + b"x" * value_bytes,
                 )
             )
@@ -115,7 +110,7 @@ def _client_batches(
 def run_compaction_sweep(
     tmp_dir: Path,
     policies: Sequence[str] = POLICIES,
-    shards: int = 8,
+    logs: int = 8,
     clients: int = 2,
     batches_per_client: int = 96,
     records_per_batch: int = 16,
@@ -130,8 +125,8 @@ def run_compaction_sweep(
     poll_interval_s: float = 0.002,
 ) -> List[CompactionSweepPoint]:
     """Run the churn workload once per policy; returns one point each."""
-    if clients < 1 or clients > shards:
-        raise ValueError("clients must be within [1, shards] (one hot shard each)")
+    if clients < 1 or clients > logs:
+        raise ValueError("clients must be within [1, logs] (one hot log each)")
     if batches_per_client < 1 or records_per_batch < 1 or keyspace < 1:
         raise ValueError("batches, records per batch and keyspace must be >= 1")
     if manual_every < 1:
@@ -139,61 +134,64 @@ def run_compaction_sweep(
     unknown = set(policies) - set(POLICIES)
     if unknown:
         raise ValueError(f"unknown policies {sorted(unknown)}; pick from {POLICIES}")
-    sessions = [
-        _client_batches(
-            c, shards, batches_per_client, records_per_batch, keyspace, value_bytes
-        )
-        for c in range(clients)
-    ]
-    cold = [
-        (scope_prefix(f"cold-{i}") + b"|%08d" % i, b"c" * cold_value_bytes)
-        for i in range(cold_records)
-    ]
+    # Every client churns the same keys, each in its own log.
+    churn = _churn_batches(batches_per_client, records_per_batch, keyspace, value_bytes)
+    cold = [(b"cold-%08d" % i, b"c" * cold_value_bytes) for i in range(cold_records)]
     total_records = clients * batches_per_client * records_per_batch
 
     def one_run(policy: str, root: Path) -> CompactionSweepPoint:
-        log = ShardedKVLog(root, shards=shards, sync=sync, partition=pipe_partition)
+        stores: List[KVLog] = []
+
+        def footprint() -> Tuple[int, int]:
+            """``(bytes on disk, dead bytes)`` summed over every log."""
+            size = sum(log.file_size() for log in stores)
+            return size, sum(log.dead_bytes for log in stores)
+
         scheduler: Optional[CompactionScheduler] = None
         manual_stats = [0, 0]  # compactions, bytes reclaimed
         samples: List[float] = []
         try:
-            if cold:
-                log.put_many(cold)  # the cold bulk loads off the clock
+            for i in range(logs):
+                stores.append(KVLog(root / f"{log_name(i)}.kv", sync=sync))
+                # The cold bulk loads off the clock, round-robin.
+                stores[i].put_many(cold[i::logs])
             if policy == "scheduler":
                 scheduler = CompactionScheduler(
                     poll_interval_s=poll_interval_s,
                     min_score=min_score,
                     min_reclaim_bytes=min_reclaim_bytes,
                 )
-                scheduler.register(log, "churn")
+                for i, log in enumerate(stores):
+                    scheduler.register(log, log_name(i))
                 scheduler.start()
             stop_world = threading.Barrier(clients)
             failures: List[BaseException] = []
 
             def client(c: int) -> None:
+                log = stores[c]
                 try:
-                    for i, batch in enumerate(sessions[c]):
+                    for i, batch in enumerate(churn):
                         log.put_many(batch)
                         # The churn's delete leg: the key comes back with
                         # the next keyspace cycle (put / delete / re-put).
                         log.delete(batch[0][0])
                         if policy == "manual" and (i + 1) % manual_every == 0:
                             # Stop the world: every client waits while one
-                            # runs the whole-store compaction, exactly the
-                            # discipline a store without the scheduler
-                            # needs to bound its footprint.
+                            # compacts every log, exactly the discipline a
+                            # store without the scheduler needs to bound
+                            # its footprint.
                             stop_world.wait(timeout=60.0)
                             if c == 0:
-                                before = log.file_size()
-                                log.compact()
+                                before, _dead = footprint()
+                                for each in stores:
+                                    each.compact()
                                 manual_stats[0] += 1
-                                manual_stats[1] += max(0, before - log.file_size())
+                                manual_stats[1] += max(0, before - footprint()[0])
                             stop_world.wait(timeout=60.0)
                         if c == 0:
-                            size = log.file_size()
-                            live = size - log.dead_bytes
-                            if live > 0:
-                                samples.append(size / live)
+                            size, dead = footprint()
+                            if size > dead:
+                                samples.append(size / (size - dead))
                 except BaseException as exc:  # surfaced after join
                     failures.append(exc)
                     # Break any siblings parked at the barrier: a dead
@@ -211,21 +209,23 @@ def run_compaction_sweep(
             elapsed = time.perf_counter() - start
             if failures:
                 raise failures[0]
+            per_store: Dict[str, Tuple[int, int]] = {}
             if scheduler is not None:
                 scheduler.stop()
                 stats = scheduler.stats()
                 compactions, reclaimed = stats.compactions_run, stats.bytes_reclaimed
+                per_store = stats.per_store
             else:
                 compactions, reclaimed = manual_stats
-            final_bytes = log.file_size()
-            final_dead = log.dead_bytes
+            final_bytes, final_dead = footprint()
         finally:
             if scheduler is not None:
                 scheduler.stop()
-            log.close()
+            for log in stores:
+                log.close()
         return CompactionSweepPoint(
             policy=policy,
-            shards=shards,
+            logs=logs,
             clients=clients,
             records=total_records,
             elapsed_s=elapsed,
@@ -234,6 +234,7 @@ def run_compaction_sweep(
             final_bytes=final_bytes,
             final_dead_bytes=final_dead,
             max_footprint_ratio=max(samples) if samples else 0.0,
+            per_store=per_store,
         )
 
     return [one_run(policy, tmp_dir / f"churn-{policy}") for policy in policies]

@@ -6,7 +6,7 @@ deployment buys: N concurrent recording sessions ship the same
 ``prep-record-batch`` documents either
 
 * **bus** — into one in-process :class:`~repro.store.service.PReServActor`
-  (the single-process sharded baseline; the bus drives the record port
+  (the single-process baseline; the bus drives the record port
   serially, exactly as every in-process deployment here does), or
 * **process** — into a :class:`~repro.fleet.manager.ProcessFleet` of W
   worker processes over the Envelope socket transport, one session thread
@@ -140,7 +140,7 @@ def run_fleet_sweep(
     from repro.store.backends import KVLogBackend
     from repro.store.service import PReServActor
 
-    backend = KVLogBackend(tmp_dir / "baseline", sync=sync, shards=1)
+    backend = KVLogBackend(tmp_dir / "baseline", sync=sync)
     attach_commit_barrier(backend, barrier_s)
     actor = PReServActor(backend)
     try:
@@ -177,7 +177,6 @@ def run_fleet_sweep(
         fleet = ProcessFleet(
             tmp_dir / f"fleet-{w:02d}",
             members=w,
-            shards=1,
             sync=sync,
             commit_barrier_s=barrier_s,
             start_method=start_method,

@@ -52,7 +52,6 @@ class ReopenPoint:
     """One reopen measurement (a backend × history × recovery mode cell)."""
 
     backend: str
-    shards: int
     records: int
     #: ``"full-replay"`` (plain store) or ``"snapshot+tail"``.
     mode: str
@@ -63,15 +62,13 @@ class ReopenPoint:
     tail_records: int
 
 
-def _make_store(
-    backend: str, root: Path, shards: int
-) -> ProvenanceStoreInterface:
+def _make_store(backend: str, root: Path) -> ProvenanceStoreInterface:
     # sync=False: the sweep times *reopen*, not ingest; retain=1 so a
     # single checkpoint immediately truncates the covered prefix (the
     # bench directory is disposable — production keeps the default
     # retention ladder).
     if backend == "kvlog":
-        return KVLogBackend(root, sync=False, shards=shards, checkpoint_retain=1)
+        return KVLogBackend(root, sync=False, checkpoint_retain=1)
     if backend == "filesystem":
         return FileSystemBackend(root, sync=False, checkpoint_retain=1)
     raise ValueError(f"unknown reopen-sweep backend {backend!r}")
@@ -80,9 +77,9 @@ def _make_store(
 def _dir_bytes(root: Path) -> int:
     """On-disk footprint of a store path: log + snapshots.
 
-    Directory layouts hold their ``checkpoints/`` dir inside the root;
-    the single-file KVLog layout keeps its snapshots in a sibling
-    directory, which must be counted explicitly.
+    The file-system store holds its ``checkpoints/`` dir inside the root;
+    the KVLog keeps its snapshots in a sibling directory, which must be
+    counted explicitly.
     """
     if root.is_dir():
         return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
@@ -94,12 +91,12 @@ def _dir_bytes(root: Path) -> int:
 
 
 def _timed_reopen(
-    backend: str, root: Path, shards: int, repeats: int
+    backend: str, root: Path, repeats: int
 ) -> "tuple[float, int, str]":
     """Min reopen time over ``repeats``, with the last open's stats."""
     best = float("inf")
     for _ in range(repeats):
-        store = _make_store(backend, root, shards)
+        store = _make_store(backend, root)
         stats = store.checkpoint_stats
         store.close()
         best = min(best, stats.open_s)
@@ -109,7 +106,6 @@ def _timed_reopen(
 def run_reopen_sweep(
     tmp_dir: Path,
     backends: Sequence[str] = ("kvlog",),
-    shard_counts: Sequence[int] = (1,),
     history_sizes: Sequence[int] = (256, 512, 1024),
     tail: int = TAIL_RECORDS,
     repeats: int = 3,
@@ -124,64 +120,54 @@ def run_reopen_sweep(
     corpus = [pregenerated_record(i).assertion for i in range(corpus_size)]
     points: List[ReopenPoint] = []
     for backend in backends:
-        for shards in shard_counts:
-            if shards != 1 and backend != "kvlog":
-                continue
-            for history in history_sizes:
-                label = f"{backend}-s{shards}-h{history}"
+        for history in history_sizes:
+            label = f"{backend}-h{history}"
 
-                def ingest(store, lo: int, hi: int) -> None:
-                    for start in range(lo, hi, batch_size):
-                        store.put_many(corpus[start : min(start + batch_size, hi)])
+            def ingest(store, lo: int, hi: int) -> None:
+                for start in range(lo, hi, batch_size):
+                    store.put_many(corpus[start : min(start + batch_size, hi)])
 
-                # Plain store: the full-replay baseline.
-                plain = tmp_dir / f"{label}-plain"
-                store = _make_store(backend, plain, shards)
-                ingest(store, 0, history)
-                store.close()
-                reopen_s, tail_records, mode = _timed_reopen(
-                    backend, plain, shards, repeats
+            # Plain store: the full-replay baseline.
+            plain = tmp_dir / f"{label}-plain"
+            store = _make_store(backend, plain)
+            ingest(store, 0, history)
+            store.close()
+            reopen_s, tail_records, mode = _timed_reopen(backend, plain, repeats)
+            points.append(
+                ReopenPoint(
+                    backend=backend,
+                    records=history,
+                    mode=mode,
+                    reopen_s=reopen_s,
+                    disk_bytes=_dir_bytes(plain),
+                    tail_records=tail_records,
                 )
-                points.append(
-                    ReopenPoint(
-                        backend=backend,
-                        shards=shards,
-                        records=history,
-                        mode=mode,
-                        reopen_s=reopen_s,
-                        disk_bytes=_dir_bytes(plain),
-                        tail_records=tail_records,
-                    )
+            )
+            # Checkpointed store: same stream, snapshot+tail reopen.
+            ckpt = tmp_dir / f"{label}-ckpt"
+            store = _make_store(backend, ckpt)
+            ingest(store, 0, history - tail)
+            store.checkpoint()
+            ingest(store, history - tail, history)
+            store.close()
+            reopen_s, tail_records, mode = _timed_reopen(backend, ckpt, repeats)
+            points.append(
+                ReopenPoint(
+                    backend=backend,
+                    records=history,
+                    mode=mode,
+                    reopen_s=reopen_s,
+                    disk_bytes=_dir_bytes(ckpt),
+                    tail_records=tail_records,
                 )
-                # Checkpointed store: same stream, snapshot+tail reopen.
-                ckpt = tmp_dir / f"{label}-ckpt"
-                store = _make_store(backend, ckpt, shards)
-                ingest(store, 0, history - tail)
-                store.checkpoint()
-                ingest(store, history - tail, history)
-                store.close()
-                reopen_s, tail_records, mode = _timed_reopen(
-                    backend, ckpt, shards, repeats
-                )
-                points.append(
-                    ReopenPoint(
-                        backend=backend,
-                        shards=shards,
-                        records=history,
-                        mode=mode,
-                        reopen_s=reopen_s,
-                        disk_bytes=_dir_bytes(ckpt),
-                        tail_records=tail_records,
-                    )
-                )
+            )
     return points
 
 
 def reopen_table(points: List[ReopenPoint]) -> str:
-    """The A11 text table: one row per (backend, shards, history, mode)."""
+    """The A11 text table: one row per (backend, history, mode)."""
     headers = [
         "backend",
-        "shards",
         "history",
         "mode",
         "reopen (ms)",
@@ -189,20 +175,17 @@ def reopen_table(points: List[ReopenPoint]) -> str:
         "disk (KiB)",
         "speedup",
     ]
-    by_key = {
-        (p.backend, p.shards, p.records, p.mode): p for p in points
-    }
+    by_key = {(p.backend, p.records, p.mode): p for p in points}
     rows = []
     for p in points:
         speedup = ""
         if p.mode == "snapshot+tail":
-            full = by_key.get((p.backend, p.shards, p.records, "full-replay"))
+            full = by_key.get((p.backend, p.records, "full-replay"))
             if full is not None and p.reopen_s > 0:
                 speedup = f"{full.reopen_s / p.reopen_s:.1f}x"
         rows.append(
             [
                 p.backend,
-                p.shards,
                 p.records,
                 p.mode,
                 f"{p.reopen_s * 1000:.2f}",

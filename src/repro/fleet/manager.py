@@ -1,7 +1,7 @@
 """ProcessFleet: spawn, health-check, and tear down store worker processes.
 
 The §7 deployment with real process isolation: N workers, each a child
-process owning one shard directory (``root/store-NN`` — the same layout
+process owning one member store (``root/store-NN`` — the same layout
 :func:`~repro.store.distributed.sharded_store_fleet` builds in-process, so
 a fleet's data can be reopened either way), each serving Envelopes on its
 own Unix-domain socket.
@@ -14,7 +14,7 @@ Lifecycle contract:
 * **faults** — a dead or unreachable worker surfaces to callers as
   ``Fault("worker-unavailable", ...)`` from the transport layer; the
   manager adds :meth:`kill` (SIGKILL, for crash drills) and
-  :meth:`restart` (respawn on the same shard directory, which recovers the
+  :meth:`restart` (respawn on the same store path, which recovers the
   log's committed prefix);
 * **teardown** — :meth:`close` is idempotent, asks every live worker to
   shut down gracefully (escalating to terminate/kill on a deadline),
@@ -184,7 +184,6 @@ class ProcessFleet:
         self,
         root: "Path | str",
         members: int = 2,
-        shards: int = 1,
         sync: bool = True,
         auto_compact: bool = False,
         commit_barrier_s: float = 0.0,
@@ -226,7 +225,6 @@ class ProcessFleet:
         self._handles: Dict[str, WorkerHandle] = {}
         self._closed = False
         # Config template for workers added after startup (add_worker).
-        self._shards = shards
         self._sync = sync
         self._auto_compact = auto_compact
         self._commit_barrier_s = commit_barrier_s
@@ -257,7 +255,6 @@ class ProcessFleet:
             path=(
                 str(self.root / name) if self._backend != "memory" else None
             ),
-            shards=self._shards,
             sync=self._sync,
             auto_compact=self._auto_compact,
             commit_barrier_s=self._commit_barrier_s,
@@ -301,7 +298,7 @@ class ProcessFleet:
         self.handle(name).kill()
 
     def restart(self, name: str, health_timeout_s: float = HEALTH_TIMEOUT_S) -> None:
-        """Respawn a stopped/dead worker on its shard directory.
+        """Respawn a stopped/dead worker on its store path.
 
         The new process replays the log's committed prefix on open — the
         recovery half of the crash drill.
@@ -324,7 +321,7 @@ class ProcessFleet:
         fresh.wait_healthy(health_timeout_s)
 
     def add_worker(self, name: Optional[str] = None) -> str:
-        """Spawn one extra worker on a fresh shard directory.
+        """Spawn one extra worker on a fresh store path.
 
         The default name is the next free ``store-NN`` slot (checking both
         live handles and on-disk directories, so a retired member's slot
@@ -361,7 +358,7 @@ class ProcessFleet:
     def decommission(self, name: str) -> None:
         """Stop one worker for good and drop it from the fleet.
 
-        The shard directory is left on disk (the router's retirement hook
+        The member store is left on disk (the router's retirement hook
         renames it ``retired-<name>``); only the process, its socket file
         and the handle go away.  Decommissioning the last member is
         refused — an empty fleet can serve nothing.

@@ -97,15 +97,6 @@ class RemoteStore(ProvenanceQueryClient):
         """The worker store's write generation (one admin round trip)."""
         return int(self._admin("generation").attrs["generation"])
 
-    def generation_token(self, scope: Optional[str] = None) -> object:
-        """Scoped freshness token, as an opaque wire string."""
-        attrs = {"scope": scope} if scope else {}
-        return self._admin("generation-token", **attrs).attrs["token"]
-
-    def shard_generations(self) -> tuple:
-        raw = self._admin("shard-generations").attrs["generations"]
-        return tuple(int(g) for g in raw.split(",") if g)
-
     def sequence_watermark(self) -> int:
         """The worker log's next sequence number (the resync cursor)."""
         return int(self._admin("watermark").attrs["watermark"])

@@ -9,7 +9,7 @@ ladder:
 1. **degrade** — the router (when attached) marks the member degraded the
    moment death is detected, so writes journal for it and reads prefer
    its replica peers;
-2. **restart** — respawn on the same shard directory with exponential
+2. **restart** — respawn on the same store path with exponential
    backoff between attempts; a worker that keeps dying on arrival hits
    the **flap cap** and is quarantined with a loud status entry instead
    of being restarted forever;

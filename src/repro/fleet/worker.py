@@ -5,21 +5,22 @@
 own backend (nothing is shared with the parent — shared-nothing is the
 point), wraps it in a :class:`FleetWorkerActor`, and serves Envelopes over
 the configured socket until asked to shut down (``shutdown`` operation or
-``SIGTERM``), then drains the server and closes the backend so the shard's
-log ends on a committed group boundary.
+``SIGTERM``), then drains the server and closes the backend so the
+member's log ends on a committed group boundary.
 
 :class:`FleetWorkerActor` is a :class:`~repro.store.service.PReServActor`
 plus the three operations remote management needs: ``ping`` (health
-checks), ``admin`` (generation/freshness tokens for the client-side query
-caches, serialized as opaque strings), and ``shutdown``.
+checks), ``admin`` (the write generation for the client-side query
+caches, the resync watermark and checkpoint controls), and
+``shutdown``.
 
 :func:`attach_commit_barrier` models the paper-era testbed device: a fixed
 post-commit stall per group commit.  The figures/bench layer applies it
 symmetrically to the in-process baseline and the fleet workers, so the
 measured fleet speedup is the *overlap* of commit barriers across worker
 processes — the effect the paper's distributed deployment buys — rather
-than an artifact of host-disk speed (this host's fsync is ~0.2 ms, which
-measures noise; the same modelling precedent as the shards figure).
+than an artifact of host-disk speed (a fast device's fsync is too short
+to measure anything but noise).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class WorkerConfig:
     address: Address
     backend: str = "kvlog"
     path: Optional[str] = None
-    shards: int = 1
     sync: bool = True
     segment_size: int = 256
     auto_compact: bool = False
@@ -81,17 +81,6 @@ def attach_commit_barrier(backend: object, barrier_s: float) -> None:
     backend.put_many = put_many  # type: ignore[method-assign]
 
 
-def encode_generation_token(token: object) -> str:
-    """Wire form of an opaque freshness token.
-
-    Tokens are compared only for equality (the cache contract), so any
-    injective string encoding preserves their semantics across the wire.
-    """
-    if isinstance(token, tuple):
-        return ":".join(str(part) for part in token)
-    return f"g:{token}"
-
-
 class FleetWorkerActor(PReServActor):
     """A PReServ actor with the fleet's management operations.
 
@@ -117,18 +106,6 @@ class FleetWorkerActor(PReServActor):
         if op == "generation":
             return XmlElement(
                 "admin-result", {"generation": str(self.store_generation())}
-            )
-        if op == "generation-token":
-            scope = payload.attrs.get("scope") or None
-            token = self.store_generation_token(scope)
-            return XmlElement(
-                "admin-result", {"token": encode_generation_token(token)}
-            )
-        if op == "shard-generations":
-            gens = self.store_shard_generations()
-            return XmlElement(
-                "admin-result",
-                {"generations": ",".join(str(g) for g in gens)},
             )
         if op == "watermark":
             if not isinstance(self.backend, ResyncCapable):
@@ -218,9 +195,7 @@ def build_worker_backend(
     kwargs = {"sync": config.sync, "auto_compact": config.auto_compact}
     if config.checkpoint_bytes is not None:
         kwargs["checkpoint_bytes"] = config.checkpoint_bytes
-    if config.backend == "kvlog":
-        kwargs["shards"] = config.shards
-    elif config.backend == "filesystem":
+    if config.backend == "filesystem":
         kwargs["segment_size"] = config.segment_size
     backend = make_backend(config.backend, config.path, **kwargs)
     attach_commit_barrier(backend, config.commit_barrier_s)
@@ -265,6 +240,5 @@ __all__ = [
     "WorkerConfig",
     "attach_commit_barrier",
     "build_worker_backend",
-    "encode_generation_token",
     "run_worker",
 ]

@@ -7,12 +7,10 @@ The store side of the architecture (paper Section 5, Figure 3):
 * :mod:`repro.store.backends` — memory / file-system / database backends,
 * :mod:`repro.store.kvlog` — the embedded log-structured KV database
   (Berkeley DB substitute) underlying the database backend,
-* :mod:`repro.store.sharding` — the hash-partitioned KVLog (N shard files
-  behind the single-log API) the database backend scales on,
 * :mod:`repro.store.maintenance` — the background compaction scheduler
   that keeps the persistent backends' disk footprint bounded under
-  sustained load (shard-aware KVLog compaction + file-system segment
-  folding) without stalling ingest,
+  sustained load (KVLog compaction + file-system segment folding)
+  without stalling ingest,
 * :mod:`repro.store.plugins` — Store and Query plug-ins (each record
   submission is decoded and stored as one backend group commit),
 * :mod:`repro.store.querycache` — generation-validated query plan and
@@ -48,7 +46,6 @@ from repro.store.maintenance import (
     CompactionScheduler,
     CompactionStats,
 )
-from repro.store.sharding import ShardedKVLog
 from repro.store.plugins import PlugIn, QueryPlugIn, StorePlugIn
 from repro.store.querycache import CacheStats, GenerationVector, QueryCache, QueryPlan
 from repro.store.service import (
@@ -93,7 +90,6 @@ def make_backend(
     kind: str,
     path: Optional[Union[str, "os.PathLike[str]"]] = None,
     *,
-    shards: int = 1,
     sync: bool = True,
     segment_size: int = 256,
     auto_compact: Union[bool, CompactionScheduler] = False,
@@ -104,11 +100,9 @@ def make_backend(
     ``kind`` is ``"memory"``, ``"filesystem"`` or ``"kvlog"`` (the paper's
     three backends).  The persistent kinds need ``path``;
     ``sync=False`` trades fsync durability for page-cache speed on both.
-    The layout knobs are backend-specific, and passing one to a kind it
-    does not apply to raises rather than being silently ignored:
-    ``shards`` selects the database backend's sharded-log layout
-    (``shards=1`` keeps the single-file format) and ``segment_size``
-    bounds the file-system backend's assertions-per-segment-file.
+    ``segment_size`` bounds the file-system backend's
+    assertions-per-segment-file; passing it to another kind raises
+    rather than being silently ignored.
 
     ``auto_compact=True`` attaches a started
     :class:`~repro.store.maintenance.CompactionScheduler` to the backend
@@ -126,11 +120,6 @@ def make_backend(
     """
     if kind not in ("memory", "filesystem", "kvlog"):
         raise ValueError(f"unknown store backend {kind!r}")
-    if shards != 1 and kind != "kvlog":
-        raise ValueError(
-            f"shards={shards} is only supported by the 'kvlog' backend, "
-            f"not {kind!r}"
-        )
     if segment_size != 256 and kind != "filesystem":
         raise ValueError(
             f"segment_size={segment_size} is only supported by the "
@@ -161,9 +150,7 @@ def make_backend(
             checkpoint_bytes=checkpoint_bytes,
         )
     else:
-        backend = KVLogBackend(
-            path, sync=sync, shards=shards, checkpoint_bytes=checkpoint_bytes
-        )
+        backend = KVLogBackend(path, sync=sync, checkpoint_bytes=checkpoint_bytes)
     if auto_compact:
         scheduler = (
             auto_compact
@@ -221,7 +208,6 @@ __all__ = [
     "ProvenanceStoreInterface",
     "QueryPlugIn",
     "ResyncCapable",
-    "ShardedKVLog",
     "Snapshot",
     "SnapshotError",
     "StoreCounts",

@@ -13,11 +13,8 @@ segment file before its atomic rename and the directory after,
 :class:`KVLogBackend` inherits the KVLog group-commit fsync — and a crash
 at any point leaves a store that reopens cleanly, keeping every
 acknowledged write.  An *unacknowledged* batch loses at most its torn
-tail on the single-log layouts; the sharded layout commits one sub-batch
-per shard, so a failed multi-shard batch may persist a non-prefix subset
-of it (each shard's own sub-batch still fails prefix-wise) — callers must
-treat an unacknowledged batch as wholly in doubt rather than resuming
-from its failure point.  ``sync=False`` trades all of this for
+tail — callers must still treat it as wholly in doubt rather than
+resuming from its failure point.  ``sync=False`` trades all of this for
 page-cache-only durability.
 
 Background maintenance extends — never weakens — that contract.  Both
@@ -47,12 +44,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-import zlib
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.passertion import GroupAssertion, parse_assertion
+from repro.core.passertion import parse_assertion
 from repro.core.prep import PrepRecord
 from repro.soa.xmldoc import XmlElement, parse_xml
 from repro.store.checkpoint import (
@@ -67,13 +63,8 @@ from repro.store.checkpoint import (
     truncatable_watermark,
     write_snapshot,
 )
-from repro.store.interface import (
-    Assertion,
-    ProvenanceStoreInterface,
-    interaction_scope,
-)
+from repro.store.interface import Assertion, ProvenanceStoreInterface
 from repro.store.kvlog import CorruptRecordError, KVLog, fsync_dir, mkdir_durable
-from repro.store.sharding import ShardedKVLog, pipe_partition
 
 
 def _assertion_to_text(assertion: Assertion) -> str:
@@ -670,98 +661,44 @@ class FileSystemBackend(_CheckpointedStore):
         return total
 
 
-def scope_prefix(scope: str) -> bytes:
-    """8-hex-char partition prefix for a scope string."""
-    return f"{zlib.crc32(scope.encode('utf-8')) & 0xFFFFFFFF:08x}".encode("ascii")
-
-
-def _assertion_scope(assertion: Assertion) -> str:
-    member = (
-        assertion.member
-        if isinstance(assertion, GroupAssertion)
-        else assertion.interaction_key
-    )
-    return interaction_scope(member)
-
-
 class KVLogBackend(_CheckpointedStore):
     """Database backend over the embedded :class:`KVLog` store.
 
     Plays the role of the paper's Berkeley DB JE backend: assertions are
-    values keyed by an insertion sequence number; the index is rebuilt by
-    scanning the log on open — from the newest valid checkpoint plus the
-    log tail past its watermark when one exists (see
+    values keyed by an insertion sequence number in one append file; the
+    index is rebuilt by scanning the log on open — from the newest valid
+    checkpoint plus the log tail past its watermark when one exists (see
     :class:`_CheckpointedStore`), full history otherwise.  Checkpoints
-    live beside the log: ``<file>.ckpt/`` for the single-file layout,
-    ``<dir>/checkpoints/`` for the sharded one (invisible to the
-    ``log.*.kv`` shard discovery).
+    live beside the log in ``<file>.ckpt/``.
 
-    With ``shards=N`` (N > 1) the log is a :class:`ShardedKVLog` directory
-    instead of a single file: record keys gain an interaction-scope hash
-    prefix (``<scope-hash>|<seq>``), so every assertion about one
-    interaction — and the group memberships naming it — lands in one shard,
-    and :meth:`generation_token` lets the query cache invalidate per shard
-    instead of per store.
-
-    Concurrency note: the parallel-commit machinery lives in
-    :class:`ShardedKVLog`, whose KV API is thread-safe; this backend's
+    Concurrency note: :class:`KVLog`'s API is thread-safe; this backend's
     write path (sequence assignment + the in-memory index) is not, and is
     driven serially by the actor/bus layer.  Clients that want parallel
-    group commits against one process talk to several backends via
-    :class:`~repro.store.distributed.StoreRouter`, or drive the sharded
-    log directly.
+    group commits talk to several backends via
+    :class:`~repro.store.distributed.StoreRouter`.
     """
 
     def __init__(
         self,
         path: Union[str, "os.PathLike[str]"],
         sync: bool = True,
-        shards: int = 1,
         checkpoint_codec: str = DEFAULT_CODEC,
         checkpoint_retain: int = DEFAULT_RETAIN,
         checkpoint_bytes: Optional[int] = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        # The store is one file: a directory here is a configuration error,
+        # reported before any open() turns it into a raw OS error.
+        if Path(path).is_dir():
+            raise ValueError(
+                f"{path} is a directory; a kvlog store is a single log file"
+            )
         super().__init__()
-        self.shards = shards
-        # Layout guard: a single-log store is one file, a sharded store is a
-        # directory of shard files — reopening across layouts must fail with
-        # a config hint, not a raw OS error from the wrong open().
-        existing = Path(path)
-        if shards == 1 and existing.is_dir():
-            raise ValueError(
-                f"{existing} is a sharded store directory; reopen with the "
-                f"shards=N it was created with"
-            )
-        if shards > 1 and existing.is_file():
-            raise ValueError(
-                f"{existing} is a single-log store file; reopen with shards=1"
-            )
-        if shards == 1:
-            # Single-log layout: ``path`` is one append file (unchanged
-            # on-disk format, so existing stores keep opening).
-            self._log: Union[KVLog, ShardedKVLog] = KVLog(path, sync=sync)
-        else:
-            # Sharded layout: ``path`` is a directory of shard files.
-            self._log = ShardedKVLog(
-                path, shards=shards, sync=sync, partition=pipe_partition
-            )
-        # Cache-invalidation counters, one per shard.  Kept at the backend
-        # (not the log) and bumped even when a persist attempt fails: the
-        # in-memory index is updated *before* persistence, so anything a
-        # query could now observe must expire the shard's cached results.
-        self._shard_gens = [0] * shards
+        self._log = KVLog(path, sync=sync)
         self._seq = 0
         self._init_checkpoints(
             path, sync, checkpoint_codec, checkpoint_retain, checkpoint_bytes
         )
         self._replay()
-        if isinstance(self._log, ShardedKVLog):
-            # Pin the sequence floor: after truncation the shard files may
-            # be empty, and lazy watermark resolution would otherwise
-            # restart at zero — reusing sequences the snapshot covers.
-            self._log.set_sequence_floor(self._seq)
         # Tail-pressure baseline: a clean snapshot+zero-tail open means the
         # whole log is snapshot-covered; any replayed tail (or a full
         # replay) leaves the baseline at 0 — pressure reads high and the
@@ -772,114 +709,41 @@ class KVLogBackend(_CheckpointedStore):
             if (stats.last_watermark > 0 and stats.tail_records == 0)
             else 0
         )
-        # Index generation already persisted: lets the persist hooks tell
-        # an effective write from an idempotent group re-assertion (which
-        # appends a record but must keep scoped cached results warm).
-        self._gen_watermark = self._index.generation
 
     def _replay_tail(self, watermark: int) -> Iterator[Tuple[int, Assertion]]:
-        # One sequential pass (the sharded log's streaming k-way merge
-        # stitches its shards back into global insertion order while
-        # holding at most one pending record per shard).  The key's
-        # trailing field is the sequence number whichever layout wrote it.
-        #
-        # Only records past the snapshot watermark are decoded — the
-        # sharded layout filters inside each shard's stream before the
-        # k-way merge (scan(min_seq=...), the per-shard start cursor), the
-        # single-log layout skips on the key's sequence field before the
-        # XML parse.  Prefix truncation makes the skip physical: a
+        # One sequential pass; the key is the sequence number, checked
+        # before the XML parse so a covered prefix not yet truncated costs
+        # no decode.  Prefix truncation makes the skip physical: a
         # truncated log simply holds no covered records to skip.
-        if isinstance(self._log, ShardedKVLog):
-            stream = self._log.scan(min_seq=watermark)
-        else:
-            stream = self._log.scan()
-        for key, value in stream:
-            seq = int(key.rsplit(b"|", 1)[-1].decode("ascii"))
-            if seq >= watermark:  # single-log: covered prefix not yet truncated
+        for key, value in self._log.scan():
+            seq = int(key)
+            if seq >= watermark:
                 yield seq, parse_assertion(parse_xml(value.decode("utf-8")))
-
-    def _key_for(self, assertion: Assertion) -> Tuple[bytes, Optional[int]]:
-        """The next record key and, when sharded, its owning shard index."""
-        seq_field = f"{self._seq:016d}".encode("ascii")
-        self._seq += 1
-        if self.shards == 1:
-            return seq_field, None
-        key = scope_prefix(_assertion_scope(assertion)) + b"|" + seq_field
-        assert isinstance(self._log, ShardedKVLog)
-        return key, self._log.shard_of(key)
-
-    def _index_advanced(self) -> bool:
-        """Did the writes being persisted change anything queries observe?
-
-        False only for purely idempotent group re-assertions, which must
-        not expire cached results (mirroring the index's own generation
-        discipline).  Always refreshes the watermark.
-        """
-        generation = self._index.generation
-        advanced = generation != self._gen_watermark
-        self._gen_watermark = generation
-        return advanced
-
-    def _bump_for(self, keyed: Sequence[Tuple[bytes, Optional[int]]], expected: int) -> None:
-        """Expire shard caches for persisted-or-attempted writes.
-
-        When key resolution itself failed partway (``len(keyed)`` short of
-        ``expected``), the owning shards of the unresolved writes are
-        unknown — expire every shard rather than risk serving stale scoped
-        results for index-visible assertions.
-        """
-        if not self._index_advanced() or self.shards == 1:
-            return
-        if len(keyed) == expected:
-            for _key, shard in keyed:
-                if shard is not None:
-                    self._shard_gens[shard] += 1
-        else:
-            for i in range(self.shards):
-                self._shard_gens[i] += 1
 
     def _persist_many(self, assertions: Sequence[Assertion]) -> None:
         # Group commit: every assertion of the batch lands in the log with a
-        # single write + flush per shard touched.  The generation bumps in
-        # the finally cover everything the index made visible, whatever
-        # fails — even key resolution itself.  (A mixed batch conservatively
-        # bumps every touched shard; only a purely idempotent batch keeps
-        # its shards' caches warm.)
-        keyed: List[Tuple[bytes, Optional[int]]] = []
+        # single write + flush.
         base = self._seq
-        try:
-            for assertion in assertions:
-                keyed.append(self._key_for(assertion))
-            pairs: List[tuple] = [
-                (key, _assertion_to_text(a).encode("utf-8"))
-                for (key, _), a in zip(keyed, assertions)
+        self._seq += len(assertions)
+        self._log.put_many(
+            [
+                (f"{base + offset:016d}".encode("ascii"),
+                 _assertion_to_text(a).encode("utf-8"))
+                for offset, a in enumerate(assertions)
             ]
-            self._log.put_many(pairs)
-            for offset, assertion in enumerate(assertions):
-                self._append_entry(base + offset, assertion)
-        finally:
-            self._bump_for(keyed, len(assertions))
+        )
+        for offset, assertion in enumerate(assertions):
+            self._append_entry(base + offset, assertion)
 
     # -- checkpoint hooks (see _CheckpointedStore) ---------------------------
     def _truncate_below(self, watermark: int) -> int:
-        """Rewrite the log without records a retained snapshot covers.
-
-        Sharded: the log drops by sequence prefix, shard by shard (each
-        shard's rewrite atomic, the cross-shard walk resumable).  Single
-        file: the sequence lives in the record key, so a key predicate
-        does the same job.
-        """
+        """Rewrite the log without records a retained snapshot covers (the
+        sequence lives in the record key, so a key predicate does it)."""
         if watermark <= 0:
             return 0
-        if isinstance(self._log, ShardedKVLog):
-            return self._log.truncate_prefix(watermark)
-
-        def keep(key: bytes, _value: bytes) -> bool:
-            return (
-                int(key.rsplit(b"|", 1)[-1].decode("ascii")) >= watermark
-            )
-
-        return self._log.truncate_prefix(keep)
+        return self._log.truncate_prefix(
+            lambda key, _value: int(key) >= watermark
+        )
 
     def _tail_bytes(self) -> int:
         """Log bytes appended since the last snapshot made them covered.
@@ -897,41 +761,12 @@ class KVLogBackend(_CheckpointedStore):
         # between the oldest retained watermark and now) stays covered.
         self._covered_log_bytes = self._log.file_size()
 
-    # -- shard-granular cache invalidation ----------------------------------
-    def scope_shard(self, scope: str) -> int:
-        """Which shard owns ``scope`` (always 0 for the single-log layout)."""
-        if self.shards == 1:
-            return 0
-        assert isinstance(self._log, ShardedKVLog)
-        return self._log.shard_of(scope_prefix(scope) + b"|")
-
-    def shard_generations(self) -> Tuple[int, ...]:
-        if self.shards == 1:
-            return (self.generation,)
-        return tuple(self._shard_gens)
-
-    def generation_token(self, scope: Optional[str] = None) -> object:
-        """Freshness token for cached results (see ``querycache``).
-
-        A scoped token covers only the shard that owns the interaction, so
-        writes about other interactions leave cached scoped results warm.
-        """
-        if scope is None or self.shards == 1:
-            return self._index.generation
-        shard = self.scope_shard(scope)
-        return ("shard", shard, self._shard_gens[shard])
-
     def compact(self) -> None:
         self._log.compact()
 
     # -- reclaim protocol (see repro.store.maintenance) ---------------------
     def reclaim_candidates(self) -> List[tuple]:
-        """Per-shard ``(shard, dead_ratio, reclaimable, cost)`` pressure.
-
-        Delegates to the log, which reports one candidate per shard (one
-        total for the single-file layout), so the scheduler compacts the
-        worst *shard*, not the worst store.
-        """
+        """The log's ``(target, dead_ratio, reclaimable, cost)`` pressure."""
         return self._log.reclaim_candidates()
 
     def reclaim(self, target: object) -> int:
@@ -939,7 +774,7 @@ class KVLogBackend(_CheckpointedStore):
 
     def close(self) -> None:
         # Stop attached maintenance first: a background compaction must
-        # never race the log handles being closed underneath it.
+        # never race the log handle being closed underneath it.
         super().close()
         self._log.close()
 

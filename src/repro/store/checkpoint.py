@@ -98,10 +98,9 @@ class Snapshot:
 def snapshot_dir_for(store_path: "os.PathLike[str] | str") -> Path:
     """Where a store at ``store_path`` keeps its snapshots.
 
-    Directory layouts (sharded logs, file-system stores) get a
-    ``checkpoints`` subdirectory; single-file layouts get a sibling
-    ``<file>.ckpt`` directory.  Both are invisible to the stores' own
-    file discovery (``log.*.kv`` / ``*.xml`` globs).
+    A directory store (the file-system backend) gets a ``checkpoints``
+    subdirectory, invisible to its ``*.xml`` file discovery; a single-file
+    store (the KVLog) gets a sibling ``<file>.ckpt`` directory.
     """
     path = Path(store_path)
     if path.is_dir():

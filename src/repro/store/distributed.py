@@ -148,7 +148,7 @@ def _holds_key(store: ProvenanceStoreInterface, key: InteractionKey) -> bool:
 
 
 def _hash_to_bucket(key: InteractionKey, n: int) -> int:
-    # Same canonical scope string as shard placement and cache scoping, so
+    # Same canonical scope string as ring placement and migration, so
     # every layer agrees on which records belong together.  This is the
     # legacy modulo rule, kept importable (the A4 figure, and the oracle
     # the placement tests hold PlacementSpec(mode="modulo") to bit for bit).
@@ -1222,7 +1222,7 @@ class FederatedStoreAdapter(FederatedQueryClient):
             if generation is not None
         )
 
-    def generation_token(self, scope: Optional[str] = None) -> object:
+    def generation_token(self) -> object:
         return self.router.generation_vector()
 
     # -- lifecycle -------------------------------------------------------------
@@ -1253,7 +1253,6 @@ def _retire_store_dir(root: Path, name: str) -> Optional[Path]:
 def sharded_store_fleet(
     root: "Path | str",
     members: int = 2,
-    shards: int = 1,
     sync: bool = True,
     auto_compact: bool = False,
     transport: str = "inprocess",
@@ -1265,10 +1264,9 @@ def sharded_store_fleet(
 ) -> StoreRouter:
     """A §7 deployment in one call: a router over KVLog-backed members.
 
-    Each member store lives under ``root/store-NN`` with its own
-    (optionally sharded) log, so the two scaling axes compose: the router
-    parallelises submission *across* stores, ``shards`` parallelises group
-    commits *within* each store.
+    The members are the fleet's shards: each is one KVLog file
+    ``root/store-NN``, and the router parallelises submission across
+    them, so more members means more concurrent group commits.
 
     ``transport`` selects where the member stores run — the two layouts
     are identical on disk, so a fleet written with one transport reopens
@@ -1356,7 +1354,6 @@ def sharded_store_fleet(
         fleet = ProcessFleet(
             root,
             members=members,
-            shards=shards,
             sync=sync,
             auto_compact=auto_compact,
             commit_barrier_s=commit_barrier_s,
@@ -1392,11 +1389,7 @@ def sharded_store_fleet(
     scheduler = CompactionScheduler() if auto_compact else None
 
     def _build_member(name: str) -> ProvenanceStoreInterface:
-        # One path per member whatever the layout (file when shards=1,
-        # directory otherwise), so reopening an existing fleet with the
-        # wrong shard count hits KVLogBackend's layout guard instead of
-        # silently standing up empty stores beside the old data.
-        store = KVLogBackend(root / name, sync=sync, shards=shards)
+        store = KVLogBackend(root / name, sync=sync)
         if commit_barrier_s > 0:
             from repro.fleet.worker import attach_commit_barrier
 

@@ -43,9 +43,9 @@ Assertion = Union[PAssertion, GroupAssertion]
 def interaction_scope(key: InteractionKey) -> str:
     """Canonical scope string for one interaction's records.
 
-    Shared by the sharded write path (shard placement of persisted records)
-    and the query cache (scoped freshness tokens), so both sides agree on
-    which shard owns an interaction.
+    The key the fleet's placement hashes (see
+    :func:`repro.store.placement.scope_position`) and migration filters
+    on, so every record about one interaction lands on the same members.
     """
     return f"{key.interaction_id}|{key.sender}|{key.receiver}"
 
@@ -374,16 +374,11 @@ class ProvenanceStoreInterface(ABC):
         """Monotonically increasing write counter (bumped by put/put_many)."""
         return self._index.generation
 
-    def generation_token(self, scope: Optional[str] = None) -> object:
-        """Freshness token for a cached result, optionally scope-narrowed.
+    def generation_token(self) -> object:
+        """Freshness token for a cached result: the whole-store generation.
 
-        ``scope`` is the canonical interaction-scope string of a key-scoped
-        query (see :func:`interaction_scope` in this module), or ``None``
-        for store-wide queries.  The default ignores the scope and
-        returns the whole-store generation; sharded backends override this
-        to return a per-shard token so unrelated writes keep scoped results
-        cached.  Tokens are opaque — caches must compare them only for
-        equality.
+        Tokens are opaque — caches must compare them only for equality
+        (adapters over moving targets fold more state into theirs).
         """
         return self._index.generation
 
@@ -401,9 +396,8 @@ class ProvenanceStoreInterface(ABC):
         still persists the assertions indexed before it before the
         exception propagates.  Backends implement :meth:`_persist_many` to
         turn the batch into a single group commit; if the group commit
-        itself fails, which subset became durable is backend-specific (a
-        sharded log commits per shard, so the durable subset need not be a
-        prefix) — treat the whole batch as in doubt.
+        itself fails, which subset became durable is backend-specific —
+        treat the whole batch as in doubt.
         """
         accepted: List[Assertion] = []
         try:

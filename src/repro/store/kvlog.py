@@ -30,10 +30,8 @@ store in the Bitcask style:
   reclaim space while writers keep committing.
 
 The store is thread-safe: one internal lock orders mutations and reads of
-the shared file handle; :class:`repro.store.sharding.ShardedKVLog` (which
-hash-partitions this same format across several shard files, for stores
-that must scale past one fsync stream) layers its own per-shard ordering
-on top.
+the shared file handle.  A deployment that needs more than one fsync
+stream runs more stores (fleet members), not more files per store.
 """
 
 from __future__ import annotations
@@ -51,17 +49,6 @@ _HEADER = struct.Struct("<IIIB")
 
 class CorruptRecordError(Exception):
     """A record failed its CRC or structural check."""
-
-
-def sorted_items(scan: Iterable[Tuple[bytes, bytes]]) -> Iterator[Tuple[bytes, bytes]]:
-    """Sorted-key view over a ``scan()`` stream.
-
-    THE ``items()`` implementation for every log flavor (single-file and
-    sharded), so the read side has exactly one ordering authority: a
-    streaming ``scan()`` in insertion order, plus this one in-memory sort
-    when key order is wanted.
-    """
-    return iter(sorted(scan))
 
 
 def fsync_dir(path: "os.PathLike[str] | str") -> None:
@@ -406,7 +393,7 @@ class KVLog:
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Live pairs in sorted-key order (unified on top of :meth:`scan`)."""
-        return sorted_items(self.scan())
+        return iter(sorted(self.scan()))
 
     # -- maintenance -------------------------------------------------------
     @property

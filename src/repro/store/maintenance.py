@@ -2,13 +2,13 @@
 
 The paper's evaluated PReServ leans on Berkeley DB JE, whose cleaner
 threads reclaim dead space continuously while the store keeps serving.
-Our log-structured substitutes only reclaim when someone asks: the KVLog
-layouts accumulate dead bytes until ``compact()`` and the file-system
+Our log-structured substitutes only reclaim when someone asks: a KVLog
+accumulates dead bytes until ``compact()`` and the file-system
 backend accumulates one-file-per-put debris until ``fold_segments()``.
 :class:`CompactionScheduler` is that someone — a background thread that
 
 * polls every registered store for *reclamation pressure*,
-* picks the **single worst target per tick** (one shard, one fold run —
+* picks the **single worst target per tick** (one log, one fold run —
   never a stop-the-world sweep),
 * rate-limits itself (a minimum interval between compactions and an
   optional bytes-per-second budget), and
@@ -24,12 +24,12 @@ protocol** can register::
     reclaim(target) -> bytes_reclaimed
 
 ``score`` is the store's own pressure measure in [0, 1] (dead-byte ratio
-for the log layouts, foldable-backlog fraction for the file-system
+for a log, foldable-backlog fraction for the file-system
 backend); ``reclaimable_bytes`` gates tiny targets below
 ``min_reclaim_bytes``; ``cost_bytes`` — roughly the bytes a reclamation
 must read+write — feeds the bytes-per-second limiter.  :class:`KVLog`,
-:class:`ShardedKVLog`, :class:`KVLogBackend` and :class:`FileSystemBackend`
-all implement the protocol.
+:class:`KVLogBackend` and :class:`FileSystemBackend` all implement the
+protocol.
 
 Stores may additionally expose the **checkpoint protocol**::
 
@@ -94,7 +94,7 @@ class CompactionStats:
 
 
 class CompactionScheduler:
-    """Shard-aware background compaction over registered stores.
+    """Background compaction over registered stores.
 
     Each tick polls every store's :meth:`reclaim_candidates` and compacts
     the single candidate with the highest score that clears both

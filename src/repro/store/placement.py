@@ -17,7 +17,7 @@ objects:
   at every cutover (the querycache's invalidation hook), and atomic JSON
   persistence so a reopened fleet either agrees with its on-disk
   placement or fails loudly (:class:`PlacementMismatchError` — the same
-  contract as the shard-count layout guards).
+  contract as the fleet's member-count check on reopen).
 
 During a transition, writes go to the **union** of a key's current and
 pending replica sets (``write_set``) and must persist everywhere before

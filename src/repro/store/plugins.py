@@ -18,11 +18,7 @@ from repro.core.passertion import InteractionKey, ViewKind
 from repro.core.prep import PrepAck, PrepQuery, PrepRecord, PrepResult
 from repro.soa.envelope import Fault
 from repro.soa.xmldoc import XmlElement
-from repro.store.interface import (
-    DuplicateAssertionError,
-    ProvenanceStoreInterface,
-    interaction_scope,
-)
+from repro.store.interface import DuplicateAssertionError, ProvenanceStoreInterface
 from repro.store.querycache import QueryCache, QueryPlan
 
 
@@ -98,35 +94,13 @@ class QueryPlugIn(PlugIn):
             QueryCache() if enable_cache else None
         )
 
-    #: query types whose result depends only on one interaction's records
-    #: (its p-assertions and the memberships naming it) — these plans carry
-    #: a scope so sharded backends can invalidate them per shard.
-    _KEY_SCOPED = frozenset(
-        {
-            "interaction",
-            "record",
-            "actor-state",
-            "groups-of",
-            "passertion-counts",
-        }
-    )
-
     def _build_plan(self, body: XmlElement) -> QueryPlan:
         query = PrepQuery.from_xml(body)
         handler = self._handlers.get(query.query_type)
         if handler is None:
             raise Fault("unknown-query", f"no such query type {query.query_type!r}")
-        scope = None
-        if query.query_type in self._KEY_SCOPED:
-            try:
-                scope = interaction_scope(self._key_from_params(query))
-            except KeyError:
-                scope = None  # malformed query; the handler faults on dispatch
         return QueryPlan(
-            query=query,
-            handler=handler,
-            result_key=QueryPlan.key_for(query),
-            scope_key=scope,
+            query=query, handler=handler, result_key=QueryPlan.key_for(query)
         )
 
     def handle(

@@ -24,12 +24,7 @@ that backend.  Plans carry no store state, so they never need invalidating.
 A backend that does not expose ``generation`` is never result-cached (plans
 still are).  Routers generalise the contract to a *generation vector*: a
 federated result is valid iff no member store advanced (see
-:meth:`repro.store.distributed.StoreRouter.generations`).  Sharded backends
-narrow it the other way: key-scoped plans carry the interaction scope they
-depend on (:attr:`QueryPlan.scope_key`), and a backend exposing
-``generation_token(scope)`` may answer with the owning *shard's* write
-generation, so ingest into other shards leaves scoped results warm instead
-of expiring the whole store's cache.
+:meth:`repro.store.distributed.StoreRouter.generations`).
 
 Two aliasing rules round out the contract.  Submitted assertions are
 *snapshots*: mutating an assertion's ``content`` in place after ``put``
@@ -95,9 +90,6 @@ class QueryPlan:
     #: canonical identity of the query (type + sorted params) — the result
     #: cache key, shared by every body that parses to the same query.
     result_key: Tuple[str, Tuple[Tuple[str, str], ...]]
-    #: the interaction scope this query depends on (None = whole store);
-    #: sharded backends turn it into a per-shard freshness token.
-    scope_key: Optional[str] = None
 
     @staticmethod
     def key_for(query: PrepQuery) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
@@ -131,18 +123,17 @@ class _CachedResult:
     response: XmlElement
 
 
-def _freshness_token(backend: object, plan: QueryPlan) -> Optional[object]:
-    """The invalidation token a result for ``plan`` must be stored under.
+def _freshness_token(backend: object) -> Optional[object]:
+    """The invalidation token a result from ``backend`` is stored under.
 
-    Backends exposing :meth:`generation_token` get scope-aware tokens (a
-    sharded store hands key-scoped plans the owning shard's generation, so
-    writes elsewhere keep the entry warm); otherwise the store-wide
-    ``generation`` counter is used.  ``None`` means the backend offers no
-    invalidation signal and must never be result-cached.
+    A backend's :meth:`generation_token` when it has one (an adapter over
+    a moving fleet folds its epoch in), else its ``generation`` counter.
+    ``None`` means the backend offers no invalidation signal and must
+    never be result-cached.
     """
     getter = getattr(backend, "generation_token", None)
     if getter is not None:
-        return getter(plan.scope_key)
+        return getter()
     return getattr(backend, "generation", None)
 
 
@@ -183,7 +174,7 @@ class QueryCache:
     # -- results ------------------------------------------------------------
     def lookup_result(self, backend: object, plan: QueryPlan) -> Optional[XmlElement]:
         """The memoized response for ``plan``, iff its token is still fresh."""
-        token = _freshness_token(backend, plan)
+        token = _freshness_token(backend)
         if token is None:
             self.stats.result_misses += 1
             return None
@@ -207,7 +198,7 @@ class QueryCache:
         assertion ``content`` subtrees that result documents embed *by
         reference* — store-owned state the asserter may still be extending.
         """
-        token = _freshness_token(backend, plan)
+        token = _freshness_token(backend)
         if token is None:
             return response  # no invalidation signal -> never cache results
         per_backend = self._results.get(backend)

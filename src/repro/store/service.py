@@ -100,7 +100,6 @@ class PReServActor(Actor):
         kind: str,
         path: Optional[str] = None,
         *,
-        shards: int = 1,
         sync: bool = True,
         segment_size: int = 256,
         auto_compact: bool = False,
@@ -109,7 +108,7 @@ class PReServActor(Actor):
         """Stand up an actor over a factory-built backend.
 
         The service-level way to configure storage — ``kind``/``path`` plus
-        the sharding, durability and background-compaction knobs — without
+        the durability and background-compaction knobs — without
         importing backend classes at the call site.  With
         ``auto_compact=True`` the attached scheduler lives as long as the
         actor's backend: :meth:`close` stops it.
@@ -119,7 +118,6 @@ class PReServActor(Actor):
         backend = make_backend(
             kind,
             path,
-            shards=shards,
             sync=sync,
             segment_size=segment_size,
             auto_compact=auto_compact,
@@ -142,17 +140,6 @@ class PReServActor(Actor):
     def store_generation(self) -> int:
         """The backend's write generation (for client-side result caches)."""
         return self.backend.generation
-
-    def store_generation_token(self, scope: Optional[str] = None) -> object:
-        """Scoped freshness token (per-shard on a sharded backend)."""
-        return self.backend.generation_token(scope)
-
-    def store_shard_generations(self) -> tuple:
-        """Per-shard write generations, ``(generation,)`` when unsharded."""
-        shard_gens = getattr(self.backend, "shard_generations", None)
-        if shard_gens is not None:
-            return shard_gens()
-        return (self.backend.generation,)
 
     def op_record(self, payload: XmlElement) -> XmlElement:
         if payload.name not in ("prep-record", "prep-record-batch"):

@@ -8,6 +8,7 @@ from repro.figures.cli import main
 from repro.figures.compaction import (
     compaction_table,
     fold_table,
+    log_name,
     run_compaction_sweep,
     run_fold_sweep,
 )
@@ -15,7 +16,7 @@ from repro.figures.compaction import (
 
 def small_sweep(tmp_path, **overrides):
     params = dict(
-        shards=2,
+        logs=2,
         clients=1,
         batches_per_client=8,
         records_per_batch=8,
@@ -49,11 +50,26 @@ class TestCompactionSweep:
 
     def test_sweep_validates_inputs(self, tmp_path):
         with pytest.raises(ValueError, match="clients"):
-            small_sweep(tmp_path, clients=3)  # more clients than shards
+            small_sweep(tmp_path, clients=3)  # more clients than logs
         with pytest.raises(ValueError, match="unknown policies"):
             small_sweep(tmp_path, policies=("none", "bogus"))
         with pytest.raises(ValueError, match="manual_every"):
             small_sweep(tmp_path, manual_every=0)
+
+    def test_scheduler_never_compacts_a_log_without_churn(self, tmp_path):
+        # The mechanism the scheduler's speedup rests on: it rewrites only
+        # the pressured logs, never the cold-only ones the manual policy
+        # rewrites on every stop.
+        points = small_sweep(tmp_path, logs=4, clients=2)
+        scheduler = next(p for p in points if p.policy == "scheduler")
+        hot = {log_name(c) for c in range(2)}
+        for cold in (log_name(i) for i in range(2, 4)):
+            assert scheduler.per_store.get(cold, (0, 0))[0] == 0
+        assert set(scheduler.per_store) <= hot
+        assert sum(runs for runs, _ in scheduler.per_store.values()) == (
+            scheduler.compactions
+        )
+        assert all(not p.per_store for p in points if p.policy != "scheduler")
 
     def test_fold_sweep_collapses_files(self, tmp_path):
         point = run_fold_sweep(tmp_path, puts=24, segment_size=8)
@@ -67,7 +83,7 @@ class TestCompactionSweep:
             main(
                 [
                     "compaction",
-                    "--shards",
+                    "--logs",
                     "2",
                     "--clients",
                     "1",

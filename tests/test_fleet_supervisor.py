@@ -19,7 +19,7 @@ import types
 import pytest
 
 from repro.fleet.faults import FAULT_EXIT_CODE, FaultRule
-from repro.fleet.manager import ProcessFleet
+from repro.fleet.manager import FleetError, ProcessFleet
 from repro.fleet.supervisor import FleetSupervisor
 from repro.store.backends import KVLogBackend
 from repro.store.distributed import (
@@ -191,7 +191,7 @@ class TestSupervisedRestart:
             fleet.close(raise_errors=False)
 
     def test_restart_races_compaction_scheduler(self, tmp_path):
-        """A killed auto-compacting worker reopens its shard dir cleanly."""
+        """A killed auto-compacting worker reopens its store cleanly."""
         router = sharded_store_fleet(
             tmp_path / "fleet",
             members=2,

@@ -203,3 +203,34 @@ class TestKVLogBackendSpecific:
         store.compact()
         assert len(store.interaction_keys()) == 10
         store.close()
+
+    def test_directory_path_rejected_before_open(self, tmp_path):
+        # A kvlog store is one file; a directory is a configuration error
+        # reported as such, with nothing created on the way.
+        directory = tmp_path / "store"
+        directory.mkdir()
+        with pytest.raises(ValueError, match="is a directory"):
+            KVLogBackend(directory)
+        assert list(directory.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+
+class TestMakeBackend:
+    def test_make_backend_factory(self, tmp_path):
+        from repro.store import make_backend
+
+        assert isinstance(make_backend("memory"), MemoryBackend)
+        fs = make_backend("filesystem", tmp_path / "fs", sync=False)
+        assert isinstance(fs, FileSystemBackend)
+        fs.close()
+        kv = make_backend("kvlog", tmp_path / "kv")
+        assert isinstance(kv, KVLogBackend)
+        kv.put(ipa(1))
+        kv.close()
+        with pytest.raises(ValueError, match="requires a path"):
+            make_backend("kvlog")
+        with pytest.raises(ValueError, match="unknown store backend"):
+            make_backend("cloud")
+        # A layout knob must never be silently ignored.
+        with pytest.raises(ValueError, match="only supported by the 'filesystem'"):
+            make_backend("kvlog", tmp_path / "kv3", segment_size=64)

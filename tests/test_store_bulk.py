@@ -126,10 +126,7 @@ class TestPutManyEquivalence:
         layouts = {
             "memory": [],  # nothing on disk
             "filesystem": [lambda root: FileSystemBackend(root / "fs")],
-            "kvlog": [
-                lambda root: KVLogBackend(root / "kv.db"),
-                lambda root: KVLogBackend(root / "kv", shards=4),
-            ],
+            "kvlog": [lambda root: KVLogBackend(root / "kv.db")],
         }[backend_name]
         for layout, open_store in enumerate(layouts):
             trees = []

@@ -33,7 +33,6 @@ from repro.store.checkpoint import (
 )
 from repro.store.interface import ResyncCapable, StoreIndex
 from repro.store.maintenance import CompactionScheduler
-from repro.store.sharding import ShardedKVLog
 
 from tests.test_store_backends import ga, ipa, key, spa
 
@@ -55,14 +54,14 @@ def state(store):
     )
 
 
-def make_store(kind: str, root, shards: int = 1, **kwargs):
+def make_store(kind: str, root, **kwargs):
     if kind == "filesystem":
         return FileSystemBackend(root / "fs", sync=False, **kwargs)
-    return KVLogBackend(root / "kv", sync=False, shards=shards, **kwargs)
+    return KVLogBackend(root / "kv", sync=False, **kwargs)
 
 
-#: the (backend, shards) grid the reopen-equivalence contract covers.
-GRID = [("kvlog", 1), ("kvlog", 4), ("filesystem", 1)]
+#: the backends the reopen-equivalence contract covers.
+GRID = ["kvlog", "filesystem"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +189,17 @@ class TestStoreIndexSerialization:
 # Backend checkpoint + reopen
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind,shards", GRID)
+@pytest.mark.parametrize("kind", GRID)
 class TestCheckpointedReopen:
-    def test_snapshot_then_tail_reopen_matches_full_state(
-        self, tmp_path, kind, shards
-    ):
-        store = make_store(kind, tmp_path, shards)
+    def test_snapshot_then_tail_reopen_matches_full_state(self, tmp_path, kind):
+        store = make_store(kind, tmp_path)
         fill(store, n=8)
         store.checkpoint()
         # Tail past the watermark: replayed from the log at reopen.
         store.put_many([ipa(i) for i in range(100, 106)])
         expected = state(store)
         store.close()
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert state(reopened) == expected
         stats = reopened.checkpoint_stats
         assert stats.recovery_mode == "snapshot+tail"
@@ -211,19 +208,19 @@ class TestCheckpointedReopen:
         assert stats.open_s >= 0.0
         reopened.close()
 
-    def test_no_snapshot_means_full_replay(self, tmp_path, kind, shards):
-        store = make_store(kind, tmp_path, shards)
+    def test_no_snapshot_means_full_replay(self, tmp_path, kind):
+        store = make_store(kind, tmp_path)
         fill(store)
         store.close()
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert reopened.checkpoint_stats.recovery_mode == "full-replay"
         assert reopened.checkpoint_stats.last_watermark == 0
         reopened.close()
 
     def test_second_checkpoint_truncates_and_reopen_still_complete(
-        self, tmp_path, kind, shards
+        self, tmp_path, kind
     ):
-        store = make_store(kind, tmp_path, shards)
+        store = make_store(kind, tmp_path)
         fill(store, n=8)
         store.checkpoint()  # first: no truncation yet (retention gate)
         assert store.checkpoint_stats.bytes_truncated == 0
@@ -233,17 +230,15 @@ class TestCheckpointedReopen:
         store.put(ipa(300))
         expected = state(store)
         store.close()
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert state(reopened) == expected
         # Writes keep flowing after a truncated reopen.
         reopened.put(ipa(301))
         assert key(301) in reopened.interaction_keys()
         reopened.close()
 
-    def test_corrupt_newest_snapshot_falls_back_to_older(
-        self, tmp_path, kind, shards
-    ):
-        store = make_store(kind, tmp_path, shards)
+    def test_corrupt_newest_snapshot_falls_back_to_older(self, tmp_path, kind):
+        store = make_store(kind, tmp_path)
         fill(store, n=8)
         store.checkpoint()
         store.put_many([ipa(i) for i in range(400, 404)])
@@ -252,17 +247,15 @@ class TestCheckpointedReopen:
         snaps = list_snapshots(store._ckpt_dir)
         store.close()
         snaps[-1].write_bytes(b"bitrot")
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert state(reopened) == expected
         assert reopened.checkpoint_stats.recovery_mode == "snapshot+tail"
         reopened.close()
 
-    def test_all_snapshots_corrupt_means_full_replay_of_tail(
-        self, tmp_path, kind, shards
-    ):
+    def test_all_snapshots_corrupt_means_full_replay_of_tail(self, tmp_path, kind):
         # Only the *first* checkpoint (no truncation) — the log still holds
         # everything, so rotting every snapshot must fall back cleanly.
-        store = make_store(kind, tmp_path, shards)
+        store = make_store(kind, tmp_path)
         fill(store, n=8)
         store.checkpoint()
         expected = state(store)
@@ -270,15 +263,15 @@ class TestCheckpointedReopen:
         store.close()
         for snap in snaps:
             snap.write_bytes(b"rot")
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert state(reopened) == expected
         assert reopened.checkpoint_stats.recovery_mode == "full-replay"
         reopened.close()
 
-    def test_checkpoint_concurrent_writer_safe(self, tmp_path, kind, shards):
+    def test_checkpoint_concurrent_writer_safe(self, tmp_path, kind):
         import threading
 
-        store = make_store(kind, tmp_path, shards)
+        store = make_store(kind, tmp_path)
         fill(store, n=4)
         errors = []
 
@@ -297,17 +290,15 @@ class TestCheckpointedReopen:
         assert not errors
         expected = state(store)
         store.close()
-        reopened = make_store(kind, tmp_path, shards)
+        reopened = make_store(kind, tmp_path)
         assert state(reopened) == expected
         reopened.close()
 
 
-@pytest.mark.parametrize("kind,shards", GRID)
+@pytest.mark.parametrize("kind", GRID)
 @settings(max_examples=8, deadline=None)
 @given(plan=st.lists(st.integers(min_value=-1, max_value=30), max_size=14))
-def test_property_checkpoint_reopen_equals_full_replay(
-    tmp_path_factory, kind, shards, plan
-):
+def test_property_checkpoint_reopen_equals_full_replay(tmp_path_factory, kind, plan):
     """Reopen-from-checkpoint ≡ full-replay reopen, byte for byte.
 
     ``plan`` interleaves writes (non-negative: put that record id) and
@@ -317,8 +308,8 @@ def test_property_checkpoint_reopen_equals_full_replay(
     stream must be identical.
     """
     root = tmp_path_factory.mktemp("ckpt-prop")
-    ckpt = make_store(kind, root / "a", shards)
-    twin = make_store(kind, root / "b", shards)
+    ckpt = make_store(kind, root / "a")
+    twin = make_store(kind, root / "b")
     seen = set()
     for op in plan:
         if op < 0:
@@ -333,8 +324,8 @@ def test_property_checkpoint_reopen_equals_full_replay(
     twin.put_many([spa(1000), ga(0)])
     ckpt.close()
     twin.close()
-    ckpt = make_store(kind, root / "a", shards)
-    twin = make_store(kind, root / "b", shards)
+    ckpt = make_store(kind, root / "a")
+    twin = make_store(kind, root / "b")
     assert state(ckpt) == state(twin)
     ckpt.close()
     twin.close()
@@ -364,7 +355,7 @@ class TestResyncCapableProtocol:
         assert issubclass(RemoteStore, ResyncCapable)
 
     def test_scan_suffix_serves_index_state_after_truncation(self, tmp_path):
-        store = make_store("kvlog", tmp_path, shards=4)
+        store = make_store("kvlog", tmp_path)
         fill(store, n=8)
         full = store.scan_suffix(after=0, limit=10_000)
         store.checkpoint()
@@ -384,61 +375,12 @@ class TestResyncCapableProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Sharded-log primitives under checkpointing
-# ---------------------------------------------------------------------------
-
-class TestShardedLogCheckpointPrimitives:
-    def test_scan_min_seq_skips_covered_prefix(self, tmp_path):
-        log = ShardedKVLog(tmp_path / "s", shards=4, sync=False)
-        try:
-            for i in range(12):
-                log.put(b"k|%06d" % i, b"v%d" % i)
-            # Sequences are assigned in put order, so the suffix past
-            # min_seq=8 is exactly the last four records, in seq order.
-            tail = list(log.scan(min_seq=8))
-            assert [k for k, _ in tail] == [b"k|%06d" % i for i in range(8, 12)]
-            assert list(log.scan(min_seq=0)) == list(log.scan())
-            with pytest.raises(ValueError):
-                list(log.scan(min_seq=-1))
-        finally:
-            log.close()
-
-    def test_sequence_floor_monotonic(self, tmp_path):
-        log = ShardedKVLog(tmp_path / "s", shards=2, sync=False)
-        try:
-            log.set_sequence_floor(10)
-            log.set_sequence_floor(3)  # floors never move backwards
-            log.put(b"k|a", b"v")
-            # The next record was sequenced at or past the floor.
-            tail = list(log.scan(min_seq=10))
-            assert [k for k, _ in tail] == [b"k|a"]
-            with pytest.raises(ValueError):
-                log.set_sequence_floor(-1)
-        finally:
-            log.close()
-
-    def test_truncate_prefix_drops_only_below_watermark(self, tmp_path):
-        log = ShardedKVLog(tmp_path / "s", shards=3, sync=False)
-        try:
-            for i in range(30):
-                log.put(b"k|%06d" % i, b"v" * 64)
-            before = log.file_size()
-            reclaimed = log.truncate_prefix(20)
-            assert reclaimed > 0
-            assert log.file_size() < before
-            kept = sorted(k for k, _ in log.scan())
-            assert kept == [b"k|%06d" % i for i in range(20, 30)]
-        finally:
-            log.close()
-
-
-# ---------------------------------------------------------------------------
 # Scheduler checkpoint policy
 # ---------------------------------------------------------------------------
 
 class TestSchedulerCheckpointPolicy:
     def test_tick_runs_checkpoint_when_tail_exceeds_bound(self, tmp_path):
-        store = make_store("kvlog", tmp_path, shards=1, checkpoint_bytes=1)
+        store = make_store("kvlog", tmp_path, checkpoint_bytes=1)
         scheduler = CompactionScheduler(min_reclaim_bytes=1)
         scheduler.register(store, name="kv")
         try:

@@ -17,7 +17,6 @@ from repro.store.backends import FileSystemBackend, KVLogBackend, MemoryBackend
 from repro.store.checkpoint import list_snapshots, snapshot_dir_for
 from repro.store.interface import DuplicateAssertionError
 from repro.store.kvlog import CorruptRecordError, KVLog
-from repro.store.sharding import _SEQ, ShardedKVLog
 
 from tests.test_store_backends import ga, ipa, key, spa
 
@@ -308,36 +307,11 @@ def test_property_dead_bytes_identical_after_reopen(tmp_path_factory, ops):
         assert dict(reopened.items()) == live_items
 
 
-@given(ops=_ops)
-@settings(max_examples=25, deadline=None)
-def test_property_sharded_dead_bytes_identical_after_reopen(
-    tmp_path_factory, ops
-):
-    """The sharded layout upholds the same invariant, per shard and in sum,
-    with compactions mixed into the op stream."""
-    root = tmp_path_factory.mktemp("deadbytes-sharded") / "db"
-    with ShardedKVLog(root, shards=3, sync=False) as log:
-        for i, (op, pairs) in enumerate(ops):
-            if op == "put":
-                log.put(*pairs[0])
-            elif op == "put_many":
-                log.put_many(pairs)
-            elif op == "compact":
-                log.compact(shard=i % 3)
-            else:
-                log.delete(pairs[0][0])
-        live_counter = log.shard_dead_bytes()
-        live_items = dict(log.scan())
-    with ShardedKVLog(root, shards=3, sync=False) as reopened:
-        assert dict(reopened.scan()) == live_items
-        assert reopened.shard_dead_bytes() == live_counter
-
-
 class TestCheckpointCrashWindows:
     """Crash simulations for every window of the checkpoint protocol.
 
     The protocol is: write ``snapshot-*.psnap.tmp`` → fsync → rename →
-    fsync dir → truncate the covered log prefix (per shard).  A crash in
+    fsync dir → truncate the covered log prefix.  A crash in
     any window must reopen to the exact pre-crash committed state —
     never a lost record, never a duplicate, never a refused open.
     """
@@ -370,50 +344,23 @@ class TestCheckpointCrashWindows:
         assert not debris.exists()
         reopened.close()
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_crash_after_snapshot_before_truncation(
-        self, tmp_path, monkeypatch, shards
-    ):
+    def test_crash_after_snapshot_before_truncation(self, tmp_path, monkeypatch):
         # Window: the snapshot is durable (renamed) but the crash lands
         # before the covered prefix is truncated.  Reopen must use the
         # snapshot and replay the *whole* remaining log tail without
         # duplicating the records the snapshot already covers.
         path = tmp_path / "kv.db"
-        store = KVLogBackend(path, sync=False, shards=shards, checkpoint_retain=1)
+        store = KVLogBackend(path, sync=False, checkpoint_retain=1)
         fill(store)
         monkeypatch.setattr(KVLogBackend, "_truncate_below", lambda self, wm: 0)
         store.checkpoint()
         store.put(ipa(90))  # post-snapshot tail
         expected = self.full_state(store)
         store.close()
-        reopened = KVLogBackend(path, sync=False, shards=shards)
+        reopened = KVLogBackend(path, sync=False)
         assert self.full_state(reopened) == expected
         assert reopened.checkpoint_stats.recovery_mode == "snapshot+tail"
         assert reopened.checkpoint_stats.tail_records == 1
-        reopened.close()
-
-    def test_crash_mid_truncation_across_shards(self, tmp_path, monkeypatch):
-        # Window: truncation crashes after rewriting some shards but not
-        # others.  Replay skips snapshot-covered records per shard, so a
-        # half-truncated log reopens to the identical state.
-        path = tmp_path / "kv.db"
-        store = KVLogBackend(path, sync=False, shards=4, checkpoint_retain=1)
-        fill(store)
-        monkeypatch.setattr(KVLogBackend, "_truncate_below", lambda self, wm: 0)
-        store.checkpoint()
-        watermark = store.sequence_watermark()
-        store.put(ipa(90))
-        expected = self.full_state(store)
-        # Simulate the partial pass: only shards 0 and 2 got truncated.
-        def keep(key, value):
-            return _SEQ.unpack_from(value)[0] > watermark
-
-        for i in (0, 2):
-            store._log._shards[i].truncate_prefix(keep)
-        store.close()
-        reopened = KVLogBackend(path, sync=False, shards=4)
-        assert self.full_state(reopened) == expected
-        assert reopened.checkpoint_stats.recovery_mode == "snapshot+tail"
         reopened.close()
 
     def test_torn_snapshot_falls_back_to_full_replay(self, tmp_path):

@@ -2,13 +2,12 @@
 
 Covers the scheduler's picking/rate-limiting/lifecycle contracts, the
 two-phase KVLog compaction running against live writers, FS segment
-folding with its crash windows, the sharded put ordering fix, and the
-auto_compact wiring through factory/actor/fleet.
+folding with its crash windows, and the auto_compact wiring through
+factory/actor/fleet.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
@@ -18,7 +17,6 @@ from repro.store.backends import FileSystemBackend
 from repro.store.kvlog import KVLog
 from repro.store.maintenance import CompactionEvent
 from repro.store.service import PReServActor
-from repro.store.sharding import ShardedKVLog
 
 from tests.test_store_backends import ga, ipa, key, spa
 
@@ -188,7 +186,7 @@ class TestTwoPhaseCompaction:
     def test_writers_during_compaction_never_lose_data(self, tmp_path):
         """Concurrent puts/deletes race a compaction loop; every committed
         write survives, in memory and across reopen."""
-        log = ShardedKVLog(tmp_path / "db", shards=2, sync=False)
+        log = KVLog(tmp_path / "db", sync=False)
         log.put_many([(b"seed-%03d" % i, b"s%d" % i) for i in range(50)])
         stop = threading.Event()
         failures = []
@@ -217,7 +215,7 @@ class TestTwoPhaseCompaction:
         live = dict(log.scan())
         assert set(b"seed-%03d" % i for i in range(50)) <= set(live)
         log.close()
-        with ShardedKVLog(tmp_path / "db", shards=2, sync=False) as reopened:
+        with KVLog(tmp_path / "db", sync=False) as reopened:
             assert dict(reopened.scan()) == live
 
     def test_readers_concurrent_with_compaction_see_exact_live_set(
@@ -225,7 +223,7 @@ class TestTwoPhaseCompaction:
     ):
         """Satellite: scan() racing background compaction always yields
         exactly the live record set."""
-        log = ShardedKVLog(tmp_path / "db", shards=4, sync=False)
+        log = KVLog(tmp_path / "db", sync=False)
         for round_ in range(5):
             log.put_many([(b"k%03d" % i, b"r%d" % round_) for i in range(100)])
         expected = dict(log.scan())
@@ -283,77 +281,6 @@ class TestTwoPhaseCompaction:
         log.close()
 
 
-class TestShardedPutOrdering:
-    def test_racing_same_key_puts_commit_in_sequence_order(self, tmp_path):
-        """Satellite regression: the index's live value must be the
-        scan-order newest, even under same-key write races."""
-        log = ShardedKVLog(tmp_path / "db", shards=2, sync=False)
-        barrier = threading.Barrier(8)
-        failures = []
-
-        def writer(t):
-            try:
-                barrier.wait()
-                for i in range(50):
-                    log.put(b"contended", b"t%d-i%03d" % (t, i))
-            except BaseException as exc:
-                failures.append(exc)
-
-        threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-        scan_order = [v for k, v in log.scan() if k == b"contended"]
-        assert scan_order  # the key is live
-        assert log.get(b"contended") == scan_order[-1]
-        log.close()
-        # Reopen rebuilds each shard's index from file order; with commits
-        # ordered by sequence this agrees with the merged scan.
-        with ShardedKVLog(tmp_path / "db", shards=2, sync=False) as reopened:
-            replayed = [v for k, v in reopened.scan() if k == b"contended"]
-            assert reopened.get(b"contended") == replayed[-1] == scan_order[-1]
-
-    def test_racing_put_and_single_shard_batches_commit_in_order(self, tmp_path):
-        """A batch landing on one shard gets put()'s ordering guarantee."""
-        log = ShardedKVLog(tmp_path / "db", shards=2, sync=False)
-        barrier = threading.Barrier(6)
-        failures = []
-
-        def batcher(t):
-            try:
-                barrier.wait()
-                for i in range(40):
-                    log.put_many(
-                        [(b"contended", b"b%d-i%03d" % (t, i)), (b"contended", b"B%d-i%03d" % (t, i))]
-                    )
-            except BaseException as exc:
-                failures.append(exc)
-
-        def putter(t):
-            try:
-                barrier.wait()
-                for i in range(80):
-                    log.put(b"contended", b"p%d-i%03d" % (t, i))
-            except BaseException as exc:
-                failures.append(exc)
-
-        threads = [threading.Thread(target=batcher, args=(t,)) for t in range(3)]
-        threads += [threading.Thread(target=putter, args=(t,)) for t in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-        scan_order = [v for k, v in log.scan() if k == b"contended"]
-        assert log.get(b"contended") == scan_order[-1]
-        log.close()
-        with ShardedKVLog(tmp_path / "db", shards=2, sync=False) as reopened:
-            replayed = [v for k, v in reopened.scan() if k == b"contended"]
-            assert reopened.get(b"contended") == replayed[-1] == scan_order[-1]
-
-
 class TestCrashDebrisSweep:
     def test_stale_compact_file_is_swept_on_open(self, tmp_path):
         log = KVLog(tmp_path / "db")
@@ -369,17 +296,6 @@ class TestCrashDebrisSweep:
         assert dict(reopened.items()) == expected
         reopened.close()
 
-    def test_stale_shard_compact_debris_is_swept(self, tmp_path):
-        log = ShardedKVLog(tmp_path / "db", shards=2)
-        log.put_many([(b"k%d" % i, b"v%d" % i) for i in range(10)])
-        expected = dict(log.scan())
-        log.close()
-        debris = tmp_path / "db" / "log.01.kv.compact"
-        debris.write_bytes(b"torn shard rewrite")
-        with ShardedKVLog(tmp_path / "db", shards=2) as reopened:
-            assert dict(reopened.scan()) == expected
-        assert not debris.exists()
-
     def test_stale_fs_tmp_is_swept_on_open(self, tmp_path):
         store = FileSystemBackend(tmp_path / "fs")
         store.put(ipa(1))
@@ -393,26 +309,6 @@ class TestCrashDebrisSweep:
         assert theirs.exists()  # non-numeric stems are not ours to delete
         assert reopened.interaction_keys() == [key(1)]
         reopened.close()
-
-    def test_shard_trim_fsyncs_the_directory(self, tmp_path, monkeypatch):
-        # A crashed first-time init left 4 empty shard files; reopening with
-        # shards=2 trims the extras and must make the unlinks durable.
-        log = ShardedKVLog(tmp_path / "db", shards=4)
-        log.close()
-        calls = []
-        real = os.fsync
-
-        def counting(fd):
-            calls.append(fd)
-            return real(fd)
-
-        monkeypatch.setattr(os, "fsync", counting)
-        log = ShardedKVLog(tmp_path / "db", shards=2)
-        assert len(calls) >= 1  # the trimmed directory entries
-        log.close()
-        monkeypatch.undo()
-        with ShardedKVLog(tmp_path / "db", shards=2) as reopened:
-            assert reopened.shards == 2
 
 
 def fs_state(store):
@@ -536,7 +432,7 @@ class TestSegmentFolding:
 class TestAutoCompactWiring:
     def test_make_backend_attaches_and_close_stops(self, tmp_path):
         backend = make_backend(
-            "kvlog", tmp_path / "kv", shards=2, sync=False, auto_compact=True
+            "kvlog", tmp_path / "kv", sync=False, auto_compact=True
         )
         assert isinstance(backend.maintenance, CompactionScheduler)
         assert backend.maintenance.running
@@ -561,7 +457,7 @@ class TestAutoCompactWiring:
 
     def test_actor_with_store_and_maintenance_stats(self, tmp_path):
         actor = PReServActor.with_store(
-            "kvlog", str(tmp_path / "kv"), shards=2, sync=False, auto_compact=True
+            "kvlog", str(tmp_path / "kv"), sync=False, auto_compact=True
         )
         assert actor.maintenance_stats() is not None
         actor.close()
@@ -574,7 +470,7 @@ class TestAutoCompactWiring:
         from repro.store.distributed import sharded_store_fleet
 
         router = sharded_store_fleet(
-            tmp_path / "fleet", members=2, shards=2, sync=False, auto_compact=True
+            tmp_path / "fleet", members=2, sync=False, auto_compact=True
         )
         schedulers = {
             id(router.store(name).maintenance) for name in router.store_names
@@ -605,7 +501,7 @@ class TestQueriesDuringBackgroundCompaction:
         """Satellite: query results through the actor never waver while the
         scheduler folds segments underneath.  (The KVLog backend is
         append-only with unique keys, so its reclamation pressure comes
-        from the log layer — covered by the ShardedKVLog reader test; the
+        from the log layer — covered by the KVLog reader test; the
         file-system backend builds fold pressure through the actor's own
         single-put path, making it the end-to-end case.)"""
         scheduler = CompactionScheduler(

@@ -739,7 +739,7 @@ class TestFederatedStoreAdapter:
         router, _ = make_router(3)
         adapter = FederatedStoreAdapter(router)
         adapter.put(ipa(0))
-        token = adapter.generation_token(None)
-        assert token.fresh(adapter.generation_token(None))
+        token = adapter.generation_token()
+        assert token.fresh(adapter.generation_token())
         router.add_member("store-03", MemoryBackend())
-        assert not token.fresh(adapter.generation_token(None))
+        assert not token.fresh(adapter.generation_token())

@@ -160,6 +160,27 @@ class TestInvalidation:
         assert backend.generation == gen
         assert plugin.handle(body, backend) is first
 
+    def test_idempotent_reassertion_keeps_kvlog_cache_warm(self, tmp_path):
+        # The same invariant through a persisted group commit: the
+        # re-assertions still append to the log, but a query can observe
+        # nothing new, so cached results stay warm.
+        from repro.store.backends import KVLogBackend
+
+        backend = KVLogBackend(tmp_path / "kv.db")
+        backend.put(ga(1))
+        plugin = QueryPlugIn()
+        k = key(1)
+        body = PrepQuery(
+            "groups-of",
+            {"id": k.interaction_id, "sender": k.sender, "receiver": k.receiver},
+        ).to_xml()
+        first = plugin.handle(body, backend)
+        backend.put(ga(1))  # idempotent re-assertion
+        assert plugin.handle(body, backend) is first
+        backend.put_many([ga(1), ga(1)])  # idempotent batch
+        assert plugin.handle(body, backend) is first
+        backend.close()
+
     def test_backend_without_generation_never_caches_results(self):
         class Bare:
             pass
@@ -420,130 +441,3 @@ class TestSatellites:
         a.put(ipa(1))
         vec = GenerationVector.of({"b": b, "a": a})
         assert vec.generations == (a.generation, b.generation)
-
-
-class TestShardGranularInvalidation:
-    """Sharded backends invalidate key-scoped results per shard.
-
-    A write about one interaction must expire cached results for *its*
-    shard only; cached results scoped to interactions in other shards stay
-    warm, and store-wide results still expire on every write.
-    """
-
-    def make_sharded(self, tmp_path):
-        from repro.store.backends import KVLogBackend
-        from repro.store.interface import interaction_scope
-
-        backend = KVLogBackend(tmp_path / "kv4", shards=4)
-        home = backend.scope_shard(interaction_scope(key(1)))
-        other = next(
-            i
-            for i in range(2, 300)
-            if backend.scope_shard(interaction_scope(key(i))) != home
-        )
-        same = next(
-            i
-            for i in range(2, 300)
-            if backend.scope_shard(interaction_scope(key(i))) == home and i != 1
-        )
-        return backend, other, same
-
-    def record_body(self, i):
-        k = key(i)
-        return PrepQuery(
-            "record",
-            {"id": k.interaction_id, "sender": k.sender, "receiver": k.receiver},
-        ).to_xml()
-
-    def test_other_shard_write_keeps_scoped_result_warm(self, tmp_path):
-        backend, other, same = self.make_sharded(tmp_path)
-        backend.put(ipa(1))
-        plugin = QueryPlugIn()
-        body = self.record_body(1)
-        first = plugin.handle(body, backend)
-        backend.put(ipa(other))  # different shard
-        assert plugin.handle(body, backend) is first  # still cached
-        backend.put(spa(same))  # same shard as key(1)
-        refreshed = plugin.handle(body, backend)
-        assert refreshed is not first
-        backend.close()
-
-    def test_same_shard_write_refreshes_scoped_result(self, tmp_path):
-        backend, other, same = self.make_sharded(tmp_path)
-        backend.put(ipa(1))
-        plugin = QueryPlugIn()
-        body = self.record_body(1)
-        first = plugin.handle(body, backend)
-        assert len(list(first.iter_elements())) == 1
-        backend.put(ipa(1, ViewKind.RECEIVER))  # about key(1) itself
-        second = plugin.handle(body, backend)
-        assert len(list(second.iter_elements())) == 2
-        backend.close()
-
-    def test_store_wide_queries_still_expire_on_any_write(self, tmp_path):
-        backend, other, same = self.make_sharded(tmp_path)
-        backend.put(ipa(1))
-        plugin = QueryPlugIn()
-        body = PrepQuery("interactions").to_xml()
-        first = plugin.handle(body, backend)
-        backend.put(ipa(other))
-        second = plugin.handle(body, backend)
-        assert second is not first
-        assert len(list(second.iter_elements())) == 2
-        backend.close()
-
-    def test_groups_of_scoped_to_member_shard(self, tmp_path):
-        backend, other, same = self.make_sharded(tmp_path)
-        backend.put(ga(1))
-        plugin = QueryPlugIn()
-        k = key(1)
-        body = PrepQuery(
-            "groups-of",
-            {"id": k.interaction_id, "sender": k.sender, "receiver": k.receiver},
-        ).to_xml()
-        first = plugin.handle(body, backend)
-        backend.put(ipa(other))  # other shard: membership view stays cached
-        assert plugin.handle(body, backend) is first
-        backend.put(ga(1, group="session-B"))  # new membership for key(1)
-        refreshed = plugin.handle(body, backend)
-        assert len(list(refreshed.iter_elements())) == 2
-        backend.close()
-
-    def test_idempotent_group_reassertion_keeps_scoped_cache_warm(self, tmp_path):
-        # The PR 2 invariant holds on the sharded path too: re-asserting an
-        # existing membership changes nothing a query can observe, so it
-        # must not expire the shard's cached results.
-        from repro.store.backends import KVLogBackend
-
-        backend = KVLogBackend(tmp_path / "kv4", shards=4)
-        backend.put(ga(1))
-        plugin = QueryPlugIn()
-        k = key(1)
-        body = PrepQuery(
-            "groups-of",
-            {"id": k.interaction_id, "sender": k.sender, "receiver": k.receiver},
-        ).to_xml()
-        first = plugin.handle(body, backend)
-        backend.put(ga(1))  # idempotent re-assertion
-        assert plugin.handle(body, backend) is first
-        backend.put_many([ga(1), ga(1)])  # idempotent batch
-        assert plugin.handle(body, backend) is first
-        backend.close()
-
-    def test_sharded_and_unsharded_results_byte_identical(self, tmp_path):
-        from repro.store.backends import KVLogBackend
-
-        sharded = KVLogBackend(tmp_path / "kv4", shards=4)
-        single = KVLogBackend(tmp_path / "kv1.db")
-        for store in (sharded, single):
-            fill(store)
-        cached = QueryPlugIn()
-        uncached = QueryPlugIn(enable_cache=False)
-        for body in all_query_bodies():
-            a = cached.handle(body, sharded)
-            b = cached.handle(body, sharded)  # cache hit path
-            c = uncached.handle(body, single)
-            assert a.serialize() == c.serialize()
-            assert b.serialize() == c.serialize()
-        sharded.close()
-        single.close()
